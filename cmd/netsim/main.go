@@ -137,7 +137,7 @@ func main() {
 		waves     = flag.Int("wavelengths", 1, "wavelengths per coupler (WDM extension)")
 		saturate  = flag.Bool("saturate", false, "binary-search the saturation rate instead of one run")
 		repeat    = flag.Int("repeat", 1, "repeat the scenario with seeds seed..seed+repeat-1 on one reused engine; reports mean/stddev and engine speed")
-		parallelF = flag.Int("parallel", 0, "intra-run shard workers per engine (0 = auto: GOMAXPROCS for single runs, serial for sweeps; 1 = serial; results are bit-for-bit identical)")
+		parallelF = flag.Int("parallel", 0, "intra-run shard workers per engine (0 = auto = serial; 1 = serial; k >= 2 shards each slot across k workers; results are bit-for-bit identical)")
 
 		traceF      = flag.String("trace", "", "single run: write sampled engine trace events (NDJSON) to this file")
 		traceSample = flag.Int("tracesample", 1, "single run: with -trace, emit events every Nth slot")
@@ -417,10 +417,10 @@ func main() {
 	// sim.Run is NewEngine+Run; building the engine here lets -trace attach
 	// its event sink without changing the simulated scenario.
 	eng := sim.NewEngine(topo, cfg)
-	// -parallel 0 is auto: single runs get the whole machine (SetParallel
-	// maps p <= 0 to GOMAXPROCS). Tracing forces serial slots regardless,
-	// and the sharded path changes no simulated bit either way.
-	if *parallelF != 1 {
+	// -parallel 0 (auto) and 1 are serial; k >= 2 arms k shard workers.
+	// Tracing forces serial slots regardless, and the sharded path changes
+	// no simulated bit either way.
+	if *parallelF > 1 {
 		eng.SetParallel(*parallelF)
 		defer eng.Close()
 	}
@@ -449,7 +449,7 @@ func main() {
 func runRepeated(topo sim.Topology, desc, trafficName, mode string, newTraffic func() sim.Traffic,
 	cfg sim.Config, seed int64, repeat, slots, drain int, rate float64, parallel int) {
 	e := sim.NewEngine(topo, cfg)
-	if parallel != 1 {
+	if parallel > 1 {
 		e.SetParallel(parallel)
 		defer e.Close()
 	}

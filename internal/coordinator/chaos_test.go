@@ -113,11 +113,15 @@ func chaosCoordinator(t *testing.T, points []sweep.Scenario, payload []byte, sha
 
 // chaosWorker is one fleet member. kill > 0 dooms it: after that many
 // computed (non-cached) points it cancels its own context mid-shard.
+// leased, when set, is called once, at the worker's first point: a point
+// only runs under a lease, so by then the worker holds one.
 type chaosWorker struct {
-	name     string
-	kill     int64
-	computed atomic.Int64
-	cached   atomic.Int64
+	name      string
+	kill      int64
+	leased    func()
+	leaseOnce sync.Once
+	computed  atomic.Int64
+	cached    atomic.Int64
 }
 
 // run blocks until the worker exits (killed, canceled, or idle).
@@ -133,6 +137,9 @@ func (cw *chaosWorker) run(ctx context.Context, t *testing.T, url string, cache 
 		Poll:   20 * time.Millisecond,
 		Log:    slog.New(slog.NewTextHandler(io.Discard, nil)),
 		OnPoint: func(_ string, _ int, hit bool) {
+			if cw.leased != nil {
+				cw.leaseOnce.Do(cw.leased)
+			}
 			if hit {
 				cw.cached.Add(1)
 				return
@@ -166,7 +173,10 @@ func waitDone(t *testing.T, job *coordinator.Job, done chan error) []sweep.Resul
 // fleet mid-job and requires (a) the merged CSV to be byte-identical to a
 // single-process run, (b) every grid point to be computed exactly once
 // across the whole fleet — the survivors resume the dead workers' shards
-// from the shared cache instead of recomputing.
+// from the shared cache instead of recomputing. The healthy workers wait
+// at a gate until every doomed worker holds a lease; otherwise, with
+// enough cores, they could lease every shard first and no death would
+// ever be injected.
 func TestChaosWorkerDeathsMergeBitForBit(t *testing.T) {
 	points, err := chaosBuild(chaosPayload(t))
 	if err != nil {
@@ -186,16 +196,31 @@ func TestChaosWorkerDeathsMergeBitForBit(t *testing.T) {
 	workers := make([]*chaosWorker, fleet)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	var doomedLeased sync.WaitGroup
+	doomedLeased.Add(len(doomed))
+	gate := make(chan struct{})
+	go func() {
+		doomedLeased.Wait()
+		close(gate)
+	}()
 	var wg sync.WaitGroup
 	for i := range workers {
 		cw := &chaosWorker{name: fmt.Sprintf("w%d", i)}
 		if doomed[i] {
 			cw.kill = 1 // die on the first computed point
+			cw.leased = doomedLeased.Done
 		}
 		workers[i] = cw
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if !doomed[i] {
+				select {
+				case <-gate:
+				case <-time.After(30 * time.Second):
+					t.Errorf("healthy worker %s: doomed workers never all held a lease", cw.name)
+				}
+			}
 			cw.run(ctx, t, ts.URL, cache)
 		}()
 	}

@@ -100,8 +100,14 @@ func FuzzBatchedVsSingleEngine(f *testing.F) {
 			soloMetrics[i] = eng.Run(fuzzTraffic(tsel[p], rate, n, pairSeed), slots, drain, cfg)
 		}
 
+		// Odd seeds batch the replicas with deferred head lookups.
 		rs := sim.NewReplicaSet(base)
+		restore := func() {}
+		if seed%2 != 0 {
+			restore = sim.DeferAllHeads()
+		}
 		rs.Configure(specs)
+		restore()
 		rs.RunAll()
 
 		for i := 0; i < r; i++ {

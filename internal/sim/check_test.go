@@ -6,6 +6,8 @@ package sim
 import (
 	"strings"
 	"testing"
+
+	"otisnet/internal/digraph"
 )
 
 // fakeTopology is a minimal hand-wired Topology for error-path tests.
@@ -110,5 +112,25 @@ func TestEngineDropsUnroutableDestination(t *testing.T) {
 	}
 	if m.Injected != m.Delivered+m.Dropped+m.Backlog {
 		t.Fatalf("conservation violated: %v", m)
+	}
+}
+
+// TestCheckTopologyReadsDistanceRows covers the scan over lent distance
+// rows (DistanceRowed): it must report the first unreachable pair, as the
+// per-pair walk does.
+func TestCheckTopologyReadsDistanceRows(t *testing.T) {
+	g := digraph.New(4) // 0 -> 1 -> 2 -> 0; 3 hears 2 but reaches nobody
+	g.AddArc(0, 1)
+	g.AddArc(1, 2)
+	g.AddArc(2, 0)
+	g.AddArc(2, 3)
+	g.AddArc(3, 3)
+	err := CheckTopology(NewPointToPointTopology(g))
+	if err == nil || err.Error() != "sim: node 3 cannot reach 0" {
+		t.Fatalf("CheckTopology = %v, want node 3 cannot reach 0", err)
+	}
+	g.AddArc(3, 0)
+	if err := CheckTopology(NewPointToPointTopology(g)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -164,10 +164,13 @@ type replica struct {
 	// headReq[u] is the precompiled request of u's head-of-line message
 	// (coupler < 0 when it is unroutable), valid while u is active. It is
 	// recomputed when the head changes — enqueue to an empty queue,
-	// dropFront leaving a survivor, topology events — so the per-slot
-	// request scan reads one entry per active node instead of re-deriving
-	// the route.
-	headReq []txRequest
+	// dropFront leaving a survivor (markHead), topology events — so the
+	// per-slot request scan reads one entry per active node instead of
+	// re-deriving the route. With deferHeads (large route tables) markHead
+	// only tags the entry stale, and step resolves it before anything
+	// reads it.
+	headReq    []txRequest
+	deferHeads bool
 
 	metrics Metrics
 
@@ -231,6 +234,7 @@ type replica struct {
 func (e *replica) attach(ct *CompiledTopology) {
 	e.ct = ct
 	e.n, e.m = ct.n, ct.m
+	e.deferHeads = ct.n*ct.n >= deferHeadsMinEntries
 	e.syncTables()
 }
 
@@ -359,13 +363,37 @@ func (e *replica) enqueue(node int, msg qmsg) {
 	if d == 1 {
 		e.activePos[node] = int32(len(e.active))
 		e.active = append(e.active, int32(node))
-		e.computeHeadReq(node, msg.dst)
+		e.markHead(node, msg.dst)
 	}
 }
 
-// computeHeadReq refreshes node's precompiled head-of-line request from
-// the route table; dst is the head message's destination.
-func (e *replica) computeHeadReq(node int, dst int32) {
+// staleHead is the coupler of a headReq entry whose route lookup is still
+// pending; its nextHop field holds the head message's destination.
+const staleHead = -2
+
+// deferHeadsMinEntries is the route-table size from which head lookups are
+// deferred (deferHeads): 2 MiB of route entries (n ≥ 512), past a typical
+// L2 cache. A variable only so the differential tests can lower it.
+var deferHeadsMinEntries = 1 << 18
+
+// markHead records that node's head-of-line message is now one bound for
+// dst. On large route tables (deferHeads) the lookup is deferred to the
+// resolveStaleHeads pass that opens the next step: there each lookup
+// misses cache, and the transmission loop that changes heads would stall
+// on them one by one, while the tight resolve loop lets the loads of many
+// nodes overlap. Small tables stay cache-resident, and there the lookup is
+// done at once.
+func (e *replica) markHead(node int, dst int32) {
+	if e.deferHeads {
+		e.headReq[node] = txRequest{node: int32(node), coupler: staleHead, nextHop: dst}
+		return
+	}
+	e.resolveHead(node, dst)
+}
+
+// resolveHead sets node's head-of-line request, for a message bound for
+// dst, from the route table.
+func (e *replica) resolveHead(node int, dst int32) {
 	r := e.route[node*e.n+int(dst)]
 	if r.c < 0 {
 		e.headReq[node] = txRequest{node: int32(node), coupler: -1}
@@ -373,6 +401,19 @@ func (e *replica) computeHeadReq(node int, dst int32) {
 	}
 	e.headReq[node] = txRequest{
 		node: int32(node), coupler: r.c &^ deliverFlag, nextHop: r.h, delivers: r.c&deliverFlag != 0,
+	}
+}
+
+// resolveStaleHeads looks up every head marked stale since the last step.
+// It runs first in step, before fault events, so each head reads the same
+// table a lookup at marking time would have read, and every later reader
+// of headReq — the request scans, the masked refresh in
+// applyTopologyChange, the parallel path — sees only fresh requests.
+func (e *replica) resolveStaleHeads() {
+	for _, u := range e.active {
+		if r := e.headReq[u]; r.coupler == staleHead {
+			e.resolveHead(int(u), r.nextHop)
+		}
 	}
 }
 
@@ -392,7 +433,7 @@ func (e *replica) dropFront(node int) {
 	if q.n == 0 {
 		e.deactivate(node)
 	} else {
-		e.computeHeadReq(node, q.buf[q.head].dst)
+		e.markHead(node, q.buf[q.head].dst)
 	}
 }
 
@@ -416,6 +457,9 @@ func (e *replica) deactivate(node int) {
 // per-request list bookkeeping at all; multi-wavelength couplers go
 // through the general candidate-sorting path.
 func (e *replica) step() {
+	if e.deferHeads {
+		e.resolveStaleHeads()
+	}
 	// Phase 0: apply fault/repair events scheduled for this slot, purging
 	// queues stranded on failed nodes and counting re-routed messages.
 	if e.dyn != nil {
@@ -811,7 +855,7 @@ func (e *replica) applyTopologyChange(ch TopologyChange) {
 		u := int(ui)
 		dst := e.queues[u].front().dst
 		if ch.EntryChanged == nil || ch.EntryChanged(u, int(dst)) {
-			e.computeHeadReq(u, dst)
+			e.resolveHead(u, dst)
 		}
 	}
 	if ch.EntryChanged != nil {

@@ -7,9 +7,12 @@ package sim_test
 // parameters, the traffic model, the offered load, the engine
 // configuration and the fault plan, and requires — for every generated
 // scenario — identical Metrics and an identical per-delivery OnDeliver
-// event stream from both engines. Any silent drift of the fast engine
-// (arbitration order, deflection tie-breaks, fault purges, RNG
-// consumption) surfaces as a minimized counterexample scenario.
+// event stream from both engines. The compiled engine runs twice, with
+// head-of-line route lookups done at once and deferred to the start of
+// the next step (the large-table mode, forced here on small topologies).
+// Any silent drift of the fast engine (arbitration order, deflection
+// tie-breaks, fault purges, RNG consumption, head lookups) surfaces as a
+// minimized counterexample scenario.
 //
 // The seed corpus (testdata/fuzz/FuzzCompiledVsLegacyEngine plus the
 // f.Add tuples below) covers every topology family, traffic model and
@@ -95,20 +98,30 @@ func FuzzCompiledVsLegacyEngine(f *testing.F) {
 		// An optional one-shot fault plan; the engines get independent
 		// FaultedTopology views of the same plan (the wrapper is stateful
 		// and single-engine).
-		topoC, topoL := base, base
+		topoC, topoD, topoL := base, base, base
 		if count := int(faultCount) % 3; count > 0 {
 			kinds := []faults.Kind{faults.KindNode, faults.KindCoupler, faults.KindTransmitter}
 			plan := faults.Random(kinds[int(faultKind)%3], count, int(faultSlotRaw)%slots, base, seed)
 			topoC = faults.Wrap(base, plan)
+			topoD = faults.Wrap(base, plan)
 			topoL = faults.Wrap(base, plan)
 		}
 
 		eC := sim.NewEngine(topoC, cfg)
+		restore := sim.DeferAllHeads()
+		eD := sim.NewEngine(topoD, cfg)
+		restore()
+		if eC.DefersHeads() || !eD.DefersHeads() {
+			t.Fatalf("head-lookup modes: eager engine defers=%v, deferred engine defers=%v", eC.DefersHeads(), eD.DefersHeads())
+		}
 		eL := legacysim.NewEngine(topoL, cfg)
 		type delivery struct{ id, src, dst, hops, slot int }
-		var gotC, gotL []delivery
+		var gotC, gotD, gotL []delivery
 		eC.OnDeliver = func(m sim.Message, slot int) {
 			gotC = append(gotC, delivery{m.ID, m.Src, m.Dst, m.Hops, slot})
+		}
+		eD.OnDeliver = func(m sim.Message, slot int) {
+			gotD = append(gotD, delivery{m.ID, m.Src, m.Dst, m.Hops, slot})
 		}
 		eL.OnDeliver = func(m sim.Message, slot int) {
 			gotL = append(gotL, delivery{m.ID, m.Src, m.Dst, m.Hops, slot})
@@ -122,26 +135,36 @@ func FuzzCompiledVsLegacyEngine(f *testing.F) {
 			buf = tr.Generate(buf[:0], s, n, rng)
 			for _, inj := range buf {
 				eC.Inject(inj.Src, inj.Dst)
+				eD.Inject(inj.Src, inj.Dst)
 				eL.Inject(inj.Src, inj.Dst)
 			}
 			eC.Step()
+			eD.Step()
 			eL.Step()
 		}
-		for s := 0; s < drain && (eC.Backlog() > 0 || eL.Metrics().Backlog > 0); s++ {
+		for s := 0; s < drain && (eC.Backlog() > 0 || eD.Backlog() > 0 || eL.Metrics().Backlog > 0); s++ {
 			eC.Step()
+			eD.Step()
 			eL.Step()
 		}
 
-		if mC, mL := eC.Metrics(), eL.Metrics(); mC != mL {
-			t.Fatalf("%s n=%d cfg=%+v traffic=%d faults=%d: metrics diverged\ncompiled %v\nlegacy   %v",
-				family, n, cfg, trafficSel%4, faultCount%3, mC, mL)
-		}
-		if len(gotC) != len(gotL) {
-			t.Fatalf("%s: %d deliveries vs legacy %d", family, len(gotC), len(gotL))
-		}
-		for i := range gotC {
-			if gotC[i] != gotL[i] {
-				t.Fatalf("%s: delivery %d = %+v, legacy %+v", family, i, gotC[i], gotL[i])
+		mL := eL.Metrics()
+		for _, run := range []struct {
+			label string
+			m     sim.Metrics
+			got   []delivery
+		}{{"compiled", eC.Metrics(), gotC}, {"deferred", eD.Metrics(), gotD}} {
+			if run.m != mL {
+				t.Fatalf("%s n=%d cfg=%+v traffic=%d faults=%d: metrics diverged\n%-8s %v\nlegacy   %v",
+					family, n, cfg, trafficSel%4, faultCount%3, run.label, run.m, mL)
+			}
+			if len(run.got) != len(gotL) {
+				t.Fatalf("%s: %d %s deliveries vs legacy %d", family, len(run.got), run.label, len(gotL))
+			}
+			for i := range run.got {
+				if run.got[i] != gotL[i] {
+					t.Fatalf("%s: %s delivery %d = %+v, legacy %+v", family, run.label, i, run.got[i], gotL[i])
+				}
 			}
 		}
 	})

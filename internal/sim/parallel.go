@@ -47,7 +47,6 @@ package sim
 
 import (
 	"math/bits"
-	"runtime"
 	"time"
 
 	"otisnet/internal/obs"
@@ -363,13 +362,14 @@ func (e *replica) stepParallel() {
 }
 
 // parRequests is phase A: a read-only scan of this worker's chunk of the
-// active list. The request comes from the precompiled headReq table, NOT
-// a fresh route lookup: after a masked topology-change refresh the two
-// can legitimately differ for entries the fault layer left standing, and
-// the serial oracle arbitrates on headReq. An unroutable head is
-// recorded as a deferred drop and the node sits the slot out, exactly as
-// serial phase 1 does; the peeked message travels with the request
-// because queues stay unmutated until phase E.
+// active list. The request comes from the precompiled headReq table (step
+// has already resolved stale heads), NOT a fresh route lookup: after a
+// masked topology-change refresh the two can legitimately differ for
+// entries the fault layer left standing, and the serial oracle arbitrates
+// on headReq. An unroutable head is recorded as a deferred drop and the
+// node sits the slot out, exactly as serial phase 1 does; the peeked
+// message travels with the request because queues stay unmutated until
+// phase E.
 func (e *replica) parRequests(w int) {
 	ps := e.par
 	sh := &ps.shards[w]
@@ -710,7 +710,7 @@ func (e *replica) parPop(sh *parShard, node int) {
 	if q.n == 0 {
 		sh.deacts = append(sh.deacts, int32(node))
 	} else {
-		e.computeHeadReq(node, q.buf[q.head].dst)
+		e.markHead(node, q.buf[q.head].dst)
 	}
 }
 
@@ -732,7 +732,7 @@ func (e *replica) parPush(sh *parShard, node int, msg qmsg) {
 	}
 	if d == 1 {
 		sh.acts = append(sh.acts, int32(node))
-		e.computeHeadReq(node, msg.dst)
+		e.markHead(node, msg.dst)
 	}
 }
 
@@ -807,17 +807,15 @@ func (e *replica) closePar() {
 }
 
 // SetParallel arms (or re-arms) intra-slot parallelism with p shard
-// workers: p <= 0 picks runtime.GOMAXPROCS(0), p == 1 restores the
-// serial path. Workers are persistent goroutines parked between slots —
-// call Close to release them. Slots with fewer active nodes than the
-// engagement threshold still step serially; parallel and serial slots
-// produce bit-for-bit identical state, so runs may mix them freely.
+// workers; p <= 1 — including the auto value 0 — restores the serial
+// path, which measured faster on the machines tried. Workers are
+// persistent goroutines parked between slots — call Close to release
+// them. Slots with fewer active nodes than the engagement threshold still
+// step serially; parallel and serial slots produce bit-for-bit identical
+// state, so runs may mix them freely.
 // Parallelism is an execution knob, not part of Config: it never changes
 // results, so sweep cache keys are unaffected.
 func (e *Engine) SetParallel(p int) {
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
 	if p > maxParallelShards {
 		p = maxParallelShards
 	}
@@ -868,14 +866,11 @@ type rsPar struct {
 	serLive []int32
 }
 
-// SetParallel arms StepAll to fan live replicas across p workers
-// (p <= 0 picks runtime.GOMAXPROCS(0), p == 1 restores serial). Results
-// are bit-for-bit unchanged — replicas are independent, so stepping
-// order never mattered. Call Close to release the workers.
+// SetParallel arms StepAll to fan live replicas across p workers; p <= 1,
+// including the auto value 0, restores serial, as for Engine.SetParallel.
+// Results are bit-for-bit unchanged — replicas are independent, so
+// stepping order never mattered. Call Close to release the workers.
 func (rs *ReplicaSet) SetParallel(p int) {
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
 	if p > maxParallelShards {
 		p = maxParallelShards
 	}

@@ -188,8 +188,15 @@ func FuzzParallelVsSerialStep(f *testing.F) {
 			topoP = faults.Wrap(base, plan)
 		}
 
+		// Odd seeds run the parallel engine with deferred head lookups,
+		// so stale heads marked in the sharded phases are covered too.
 		eS := sim.NewEngine(topoS, cfg)
+		restore := func() {}
+		if seed%2 != 0 {
+			restore = sim.DeferAllHeads()
+		}
 		eP := sim.NewEngine(topoP, cfg)
+		restore()
 		defer eP.Close()
 		eP.SetParallel(p)
 		eP.SetParallelThreshold(0)
@@ -231,4 +238,25 @@ func FuzzParallelVsSerialStep(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSetParallelAutoIsSerial pins that SetParallel(p <= 0), the
+// -parallel 0 default, leaves an engine on the serial path.
+func TestSetParallelAutoIsSerial(t *testing.T) {
+	e := sim.NewEngine(sim.NewStackTopology(stackkautz.New(2, 2, 2).StackGraph()), sim.Config{Seed: 1})
+	defer e.Close()
+	for _, p := range []int{0, -3} {
+		e.SetParallel(p)
+		if got := e.Parallel(); got != 1 {
+			t.Fatalf("SetParallel(%d): Parallel() = %d, want 1 (serial)", p, got)
+		}
+	}
+	e.SetParallel(2)
+	if got := e.Parallel(); got != 2 {
+		t.Fatalf("SetParallel(2): Parallel() = %d, want 2", got)
+	}
+	e.SetParallel(0)
+	if got := e.Parallel(); got != 1 {
+		t.Fatalf("SetParallel(0) after 2: Parallel() = %d, want 1", got)
+	}
 }

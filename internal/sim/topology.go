@@ -13,6 +13,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"otisnet/internal/digraph"
 	"otisnet/internal/hypergraph"
@@ -36,178 +37,224 @@ type Topology interface {
 	Distance(u, dst int) int
 }
 
-// buildRouteTable precomputes route[u][dst] for every ordered pair using
-// the provided per-pair oracle, turning NextCoupler into an O(1) lookup on
-// the simulation hot path. The oracle is only consulted once per pair, at
-// construction time. It returns both the row views and the flat backing
-// array, which RouteTable hands to the engine as its compiled route table.
-// The delivers-here bit is packed from nextHop == dst: the scan oracles
-// pick the strictly closest head, and only the destination itself is at
-// distance 0, so the chosen next hop is dst exactly when dst hears the
-// chosen coupler.
-func buildRouteTable(n int, next func(u, dst int) (int, int)) ([][]RouteEntry, []RouteEntry) {
-	route := make([][]RouteEntry, n)
-	flat := make([]RouteEntry, n*n) // one backing array, n row views
-	for u := 0; u < n; u++ {
-		row := flat[u*n : (u+1)*n : (u+1)*n]
-		for dst := 0; dst < n; dst++ {
-			c, hop := next(u, dst)
-			row[dst] = MakeRouteEntry(c, hop, c >= 0 && hop == dst)
-		}
-		route[u] = row
-	}
-	return route, flat
+// tableTopology is a network whose all-pairs tables are precomputed at
+// construction, so NextCoupler and Distance are O(1) lookups on the
+// simulation hot path. Stack-graphs (multi-OPS networks) and point-to-point
+// digraphs (every arc its own degree-1 coupler) share it: both reduce to
+// out-coupler lists, head lists and one table builder (newTableTopology).
+type tableTopology struct {
+	out   [][]int      // node -> couplers it transmits on, in topology order
+	heads [][]int      // coupler -> listening nodes, in topology order
+	dist  [][]int      // dist[u][v], row views of one flat array
+	route []RouteEntry // row-major (u, dst) routing decisions, lent to the engine
 }
 
-// stackTopology adapts a stack-graph (multi-OPS network) with precomputed
-// shortest-path next-hop and routing tables.
-type stackTopology struct {
-	sg        *hypergraph.StackGraph
-	out       [][]int
-	dist      [][]int // dist[u][v] on the underlying digraph
-	route     [][]RouteEntry
-	routeFlat []RouteEntry // backing array of route, lent to the engine
-	und       *digraph.Digraph
-}
-
-// NewStackTopology wraps a stack-graph for simulation. The underlying
-// point-to-point reachability digraph is used for distances; routing takes,
-// at each hop, a coupler whose head set contains a node strictly closer to
-// the destination. All routing decisions are precomputed so the per-slot
-// NextCoupler call is a table lookup.
+// NewStackTopology wraps a stack-graph for simulation. Distances are hop
+// counts through couplers; routing takes, at each hop, the coupler whose
+// head set contains the node strictly closest to the destination, first in
+// coupler and head order on ties. All routing decisions are precomputed so
+// the per-slot NextCoupler call is a table lookup.
 func NewStackTopology(sg *hypergraph.StackGraph) Topology {
-	st := &stackTopology{sg: sg, und: sg.UnderlyingDigraph()}
-	n := sg.N()
-	st.out = make([][]int, n)
-	for u := 0; u < n; u++ {
-		st.out[u] = sg.OutArcs(u)
-	}
-	st.dist = make([][]int, n)
-	for u := 0; u < n; u++ {
-		st.dist[u] = st.und.BFS(u)
-	}
-	st.route, st.routeFlat = buildRouteTable(n, st.scanNextCoupler)
-	return st
-}
-
-func (st *stackTopology) Nodes() int              { return st.sg.N() }
-func (st *stackTopology) Couplers() int           { return st.sg.M() }
-func (st *stackTopology) OutCouplers(u int) []int { return st.out[u] }
-func (st *stackTopology) Heads(c int) []int       { return st.sg.Hyperarc(c).Head }
-
-func (st *stackTopology) Distance(u, dst int) int { return st.dist[u][dst] }
-
-// RouteTable lends the engine the flat route table (RouteTabled).
-func (st *stackTopology) RouteTable() []RouteEntry { return st.routeFlat }
-
-// DistanceRows lends the engine the per-source distance rows
-// (DistanceRowed).
-func (st *stackTopology) DistanceRows() [][]int { return st.dist }
-
-func (st *stackTopology) NextCoupler(u, dst int) (int, int) {
-	r := st.route[u][dst]
-	return r.Coupler(), r.NextHop()
-}
-
-// scanNextCoupler is the construction-time routing oracle: pick the coupler
-// whose head set contains the node strictly closest to the destination,
-// scanning couplers and heads in topology order so ties break exactly as
-// the pre-table implementation did (determinism of seeded runs).
-func (st *stackTopology) scanNextCoupler(u, dst int) (int, int) {
-	if u == dst {
-		return -1, u
-	}
-	best, bestHop := -1, -1
-	bestDist := st.dist[u][dst]
-	for _, c := range st.out[u] {
-		for _, h := range st.sg.Hyperarc(c).Head {
-			d := st.dist[h][dst]
-			if d != digraph.Unreachable && d < bestDist {
-				bestDist = d
-				best, bestHop = c, h
+	arcs := sg.Hyperarcs()
+	out := make([][]int, sg.N())
+	heads := make([][]int, len(arcs))
+	for c, a := range arcs {
+		heads[c] = a.Head
+		for _, u := range a.Tail {
+			if l := len(out[u]); l == 0 || out[u][l-1] != c {
+				out[u] = append(out[u], c)
 			}
 		}
 	}
-	return best, bestHop
-}
-
-// pointToPoint adapts a digraph as a single-OPS-per-arc network: every arc
-// is its own degree-1 coupler.
-type pointToPoint struct {
-	g         *digraph.Digraph
-	out       [][]int // coupler ids per node
-	head      []int   // head node per coupler
-	dist      [][]int
-	route     [][]RouteEntry
-	routeFlat []RouteEntry
+	return newTableTopology(out, heads)
 }
 
 // NewPointToPointTopology wraps a digraph where each arc is a dedicated
-// point-to-point optical link (the single-OPS baseline). Routing decisions
-// are precomputed into a full table, as for stack topologies.
+// point-to-point optical link (the single-OPS baseline). Routing takes the
+// first out-arc whose head is strictly closer to the destination, and is
+// precomputed into a full table, as for stack topologies.
 func NewPointToPointTopology(g *digraph.Digraph) Topology {
-	pt := &pointToPoint{g: g}
-	pt.out = make([][]int, g.N())
-	for _, a := range g.Arcs() {
-		c := len(pt.head)
-		pt.head = append(pt.head, a[1])
-		pt.out[a[0]] = append(pt.out[a[0]], c)
+	arcs := g.Arcs()
+	head := make([]int, len(arcs))
+	heads := make([][]int, len(arcs))
+	out := make([][]int, g.N())
+	for c, a := range arcs {
+		head[c] = a[1]
+		heads[c] = head[c : c+1 : c+1]
+		out[a[0]] = append(out[a[0]], c)
 	}
-	pt.dist = make([][]int, g.N())
-	for u := 0; u < g.N(); u++ {
-		pt.dist[u] = g.BFS(u)
-	}
-	pt.route, pt.routeFlat = buildRouteTable(g.N(), pt.scanNextCoupler)
-	return pt
+	return newTableTopology(out, heads)
 }
 
-func (pt *pointToPoint) Nodes() int              { return pt.g.N() }
-func (pt *pointToPoint) Couplers() int           { return len(pt.head) }
-func (pt *pointToPoint) OutCouplers(u int) []int { return pt.out[u] }
-func (pt *pointToPoint) Heads(c int) []int       { return pt.head[c : c+1] }
-func (pt *pointToPoint) Distance(u, dst int) int { return pt.dist[u][dst] }
+func newTableTopology(out, heads [][]int) *tableTopology {
+	t := &tableTopology{out: out, heads: heads}
+	t.dist = allPairsDistances(out, heads)
+	t.route = buildRoutes(out, heads, t.dist)
+	return t
+}
+
+func (t *tableTopology) Nodes() int              { return len(t.out) }
+func (t *tableTopology) Couplers() int           { return len(t.heads) }
+func (t *tableTopology) OutCouplers(u int) []int { return t.out[u] }
+func (t *tableTopology) Heads(c int) []int       { return t.heads[c] }
+func (t *tableTopology) Distance(u, dst int) int { return t.dist[u][dst] }
 
 // RouteTable lends the engine the flat route table (RouteTabled).
-func (pt *pointToPoint) RouteTable() []RouteEntry { return pt.routeFlat }
+func (t *tableTopology) RouteTable() []RouteEntry { return t.route }
 
 // DistanceRows lends the engine the per-source distance rows
 // (DistanceRowed).
-func (pt *pointToPoint) DistanceRows() [][]int { return pt.dist }
+func (t *tableTopology) DistanceRows() [][]int { return t.dist }
 
-func (pt *pointToPoint) NextCoupler(u, dst int) (int, int) {
-	r := pt.route[u][dst]
+func (t *tableTopology) NextCoupler(u, dst int) (int, int) {
+	r := t.route[u*len(t.out)+dst]
 	return r.Coupler(), r.NextHop()
 }
 
-// scanNextCoupler is the construction-time oracle: first out-arc whose head
-// is strictly closer to the destination (same tie-break as before).
-func (pt *pointToPoint) scanNextCoupler(u, dst int) (int, int) {
-	if u == dst {
-		return -1, u
+// allPairsDistances returns dist[u][v], the hop distance from u to v
+// through couplers (digraph.Unreachable when there is no path), as row
+// views of one flat array. It runs every BFS at once, bit-parallel: R_k[s],
+// the set of nodes within k hops of s, is an n-bit row, and
+// R_{k+1}[s] = R_k[s] ∪ ⋃_{w ∈ succ(s)} R_k[w]. The bits new in R_{k+1}[s]
+// are exactly the nodes at distance k+1. A level costs O(arcs · n/64) word
+// operations, the whole table O(diameter · arcs · n/64) plus one write per
+// reachable pair.
+func allPairsDistances(out, heads [][]int) [][]int {
+	n := len(out)
+	succ := successors(out, heads)
+	w := (n + 63) / 64
+	cur := make([]uint64, n*w)
+	next := make([]uint64, n*w)
+	flat := make([]int, n*n)
+	for i := range flat {
+		flat[i] = digraph.Unreachable
 	}
-	cur := pt.dist[u][dst]
-	for _, c := range pt.out[u] {
-		h := pt.head[c]
-		if d := pt.dist[h][dst]; d != digraph.Unreachable && d < cur {
-			return c, h
+	for s := 0; s < n; s++ {
+		cur[s*w+s>>6] |= 1 << (s & 63)
+		flat[s*n+s] = 0
+	}
+	for k := 1; ; k++ {
+		grew := false
+		for s := 0; s < n; s++ {
+			prev := cur[s*w : (s+1)*w]
+			row := next[s*w : (s+1)*w]
+			copy(row, prev)
+			for _, v := range succ[s] {
+				src := cur[v*w : (v+1)*w]
+				src = src[:len(row)]
+				for i := range row {
+					row[i] |= src[i]
+				}
+			}
+			drow := flat[s*n : (s+1)*n]
+			for i, word := range row {
+				for fresh := word &^ prev[i]; fresh != 0; fresh &= fresh - 1 {
+					drow[i<<6+bits.TrailingZeros64(fresh)] = k
+					grew = true
+				}
+			}
+		}
+		if !grew {
+			break
+		}
+		cur, next = next, cur
+	}
+	dist := make([][]int, n)
+	for u := range dist {
+		dist[u] = flat[u*n : (u+1)*n : (u+1)*n]
+	}
+	return dist
+}
+
+// successors lists, per node, the distinct nodes one hop away: the heads
+// of its out-couplers.
+func successors(out, heads [][]int) [][]int {
+	succ := make([][]int, len(out))
+	seen := make([]int, len(out)) // seen[v] == u+1: v already listed for u
+	for u, cs := range out {
+		for _, c := range cs {
+			for _, h := range heads[c] {
+				if seen[h] != u+1 {
+					seen[h] = u + 1
+					succ[u] = append(succ[u], h)
+				}
+			}
 		}
 	}
-	return -1, -1
+	return succ
+}
+
+// buildRoutes fills the row-major route table from the distances, one
+// source row at a time: u's (coupler, head) candidates are walked in
+// topology order with dst as the inner loop over dist[h], and each dst
+// takes the first candidate one hop closer to it than u. On BFS distances
+// no head is more than one hop closer, so that is exactly the per-pair
+// scan's choice under either tie-break — the strictly closest head, first
+// on ties (stack-graphs), and the first strictly closer arc
+// (point-to-point). The delivers-here bit is nextHop == dst: only dst
+// itself is at distance 0.
+func buildRoutes(out, heads [][]int, dist [][]int) []RouteEntry {
+	n := len(out)
+	route := make([]RouteEntry, n*n)
+	// want[dst] is the distance a candidate head must have to route dst:
+	// dist[u][dst]-1 while dst is unrouted, unmatchable once it is routed,
+	// for dst == u, or when dst is unreachable from u.
+	const unmatchable = digraph.Unreachable - 1
+	want := make([]int, n)
+	for u := 0; u < n; u++ {
+		row := route[u*n : (u+1)*n]
+		du := dist[u]
+		for dst, d := range du {
+			row[dst] = RouteEntry{c: -1, h: -1}
+			want[dst] = d - 1
+			if d == digraph.Unreachable {
+				want[dst] = unmatchable
+			}
+		}
+		row[u] = RouteEntry{c: -1, h: int32(u)}
+		want[u] = unmatchable
+		for _, c := range out[u] {
+			for _, h := range heads[c] {
+				dh := dist[h][:n]
+				for dst, d := range dh {
+					if d == want[dst] {
+						row[dst] = MakeRouteEntry(c, h, h == dst)
+						want[dst] = unmatchable
+					}
+				}
+			}
+		}
+	}
+	return route
 }
 
 // CheckTopology validates basic sanity: every node has at least one out
 // coupler, every coupler has at least one head, and routing reaches every
 // destination. Returns nil for usable topologies.
 func CheckTopology(t Topology) error {
-	for u := 0; u < t.Nodes(); u++ {
+	n := t.Nodes()
+	// Topologies that lend their distance rows are checked row by row;
+	// others are queried once per pair.
+	var rows [][]int
+	var row []int
+	if dr, ok := t.(DistanceRowed); ok {
+		rows = dr.DistanceRows()
+	} else {
+		row = make([]int, n)
+	}
+	for u := 0; u < n; u++ {
 		if len(t.OutCouplers(u)) == 0 {
 			return fmt.Errorf("sim: node %d cannot transmit", u)
 		}
-		for v := 0; v < t.Nodes(); v++ {
-			if u == v {
-				continue
+		if rows != nil {
+			row = rows[u]
+		} else {
+			for v := range row {
+				row[v] = t.Distance(u, v)
 			}
-			if t.Distance(u, v) == digraph.Unreachable {
+		}
+		for v, d := range row {
+			if d == digraph.Unreachable && v != u {
 				return fmt.Errorf("sim: node %d cannot reach %d", u, v)
 			}
 		}

@@ -4,19 +4,22 @@
 # service-layer pair (cold grid vs warm content-addressed cache), the
 # PR 6 batched-dispatch pair (per-scenario grid vs ReplicaSet batches)
 # and the PR 8 intra-run parallel pair (serial Step vs the coupler-range
-# sharded slot loop at N=12288) — and emits BENCH_8.json with ns/op,
+# sharded slot loop at N=12288) — and emits a BENCH_<n>.json with ns/op,
 # B/op, allocs/op per benchmark plus the same-machine speedups: compiled
 # engine over the legacy baseline, the warm-cache grid over the cold grid
 # (service-layer contract >= 10x), the batched grid over per-scenario
 # dispatch, and serial Step over the sharded slot loop
 # ("parallel_step_speedup"; below 1.0 on runners with too few cores —
 # the crew is overhead there, and the snapshot records that honestly).
-# BENCH_<n>.json snapshots accumulate per PR; BENCH_7.json is the previous
-# point of the trajectory. `go run ./cmd/benchdiff` prints the trajectory
+# BENCH_<n>.json snapshots accumulate per PR, and the snapshot's "pr"
+# field is the <n> of its file name (null when OUT is named otherwise).
+# `go run ./cmd/benchdiff` prints the trajectory
 # across every snapshot and fails on >10% regressions of the headline
 # speedups between the last two points.
 #
-# Usage: scripts/bench.sh            # default -benchtime=2s
+# Usage: scripts/bench.sh                 # -benchtime=2s; writes the snapshot
+#                                         # after the newest BENCH_<n>.json
+#        OUT=BENCH_<n>.json scripts/bench.sh # snapshot <n>: "pr": <n>
 #        BENCHTIME=1x scripts/bench.sh   # CI smoke (pipeline check only;
 #                                        # 1x timings are not meaningful)
 #        OUT=path.json scripts/bench.sh
@@ -24,7 +27,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-2s}"
-OUT="${OUT:-BENCH_8.json}"
+# snapshot_pr prints the <n> of a BENCH_<n>.json file name, or nothing.
+snapshot_pr() { basename "$1" | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p'; }
+if [ -z "${OUT:-}" ]; then
+	last=$(for f in BENCH_*.json; do snapshot_pr "$f"; done | sort -n | tail -1)
+	OUT="BENCH_$((${last:-0} + 1)).json"
+fi
+PR=$(snapshot_pr "$OUT")
+PR=${PR:-null}
+
 PATTERN='BenchmarkStepAllocFree|BenchmarkT7SimThroughput|BenchmarkT7LegacyEngine|BenchmarkSweepGrid$|BenchmarkSweepGridLegacyEngine|BenchmarkStepLargeN|BenchmarkStepLargeNParallel|BenchmarkSweepCachedGrid|BenchmarkSweepGridBatched|BenchmarkBatchedStep'
 
 raw=$(go test -run=NONE -bench="$PATTERN" -benchtime="$BENCHTIME" -benchmem .)
@@ -36,7 +47,7 @@ printf '%s\n' "$raw"
 GOMAXPROCS_N=$(go env GOMAXPROCS 2>/dev/null || true)
 [ -n "$GOMAXPROCS_N" ] || GOMAXPROCS_N=$(getconf _NPROCESSORS_ONLN)
 
-printf '%s\n' "$raw" | awk -v benchtime="$BENCHTIME" -v gomaxprocs="$GOMAXPROCS_N" '
+printf '%s\n' "$raw" | awk -v benchtime="$BENCHTIME" -v gomaxprocs="$GOMAXPROCS_N" -v pr="$PR" '
 /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name) # strip the -GOMAXPROCS suffix
@@ -53,7 +64,7 @@ printf '%s\n' "$raw" | awk -v benchtime="$BENCHTIME" -v gomaxprocs="$GOMAXPROCS_
 }
 END {
 	printf "{\n"
-	printf "  \"pr\": 8,\n"
+	printf "  \"pr\": %s,\n", pr
 	printf "  \"benchtime\": \"%s\",\n", benchtime
 	printf "  \"gomaxprocs\": %s,\n", gomaxprocs
 	printf "  \"benchmarks\": [\n"
