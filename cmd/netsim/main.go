@@ -119,25 +119,24 @@ func main() {
 		return
 	}
 	var (
-		net       = flag.String("net", "sk", `topology: "sk", "pops", "stackii", "debruijn" or "all" (sweep only)`)
-		t         = flag.Int("t", 4, "POPS group size t")
-		g         = flag.Int("g", 4, "POPS group count g")
-		s         = flag.Int("s", 6, "stack network group size s")
-		d         = flag.Int("d", 3, "degree d")
-		k         = flag.Int("k", 2, "diameter k")
-		n         = flag.Int("n", 12, "stack-Imase-Itoh group count n")
-		traffic   = flag.String("traffic", "uniform", `traffic: "uniform", "perm", "hotspot" or "burst"`)
-		rate      = flag.Float64("rate", 0.2, "per-node injection probability per slot")
-		slots     = flag.Int("slots", 2000, "traffic slots")
-		drain     = flag.Int("drain", 2000, "extra drain slots")
-		seed      = flag.Int64("seed", 1, "random seed")
-		deflect   = flag.Bool("deflect", false, "hot-potato deflection instead of store-and-forward")
-		maxQ      = flag.Int("maxq", 0, "per-node queue cap (0 = unbounded)")
-		burst     = flag.Int("burst", 500, "messages for burst traffic")
-		waves     = flag.Int("wavelengths", 1, "wavelengths per coupler (WDM extension)")
-		saturate  = flag.Bool("saturate", false, "binary-search the saturation rate instead of one run")
-		repeat    = flag.Int("repeat", 1, "repeat the scenario with seeds seed..seed+repeat-1 on one reused engine; reports mean/stddev and engine speed")
-		parallelF = flag.Int("parallel", 0, "intra-run shard workers per engine (0 = auto = serial; 1 = serial; k >= 2 shards each slot across k workers; results are bit-for-bit identical)")
+		net      = flag.String("net", "sk", `topology: "sk", "pops", "stackii", "debruijn" or "all" (sweep only)`)
+		t        = flag.Int("t", 4, "POPS group size t")
+		g        = flag.Int("g", 4, "POPS group count g")
+		s        = flag.Int("s", 6, "stack network group size s")
+		d        = flag.Int("d", 3, "degree d")
+		k        = flag.Int("k", 2, "diameter k")
+		n        = flag.Int("n", 12, "stack-Imase-Itoh group count n")
+		traffic  = flag.String("traffic", "uniform", `traffic: "uniform", "perm", "hotspot" or "burst"`)
+		rate     = flag.Float64("rate", 0.2, "per-node injection probability per slot")
+		slots    = flag.Int("slots", 2000, "traffic slots")
+		drain    = flag.Int("drain", 2000, "extra drain slots")
+		seed     = flag.Int64("seed", 1, "random seed")
+		deflect  = flag.Bool("deflect", false, "hot-potato deflection instead of store-and-forward")
+		maxQ     = flag.Int("maxq", 0, "per-node queue cap (0 = unbounded)")
+		burst    = flag.Int("burst", 500, "messages for burst traffic")
+		waves    = flag.Int("wavelengths", 1, "wavelengths per coupler (WDM extension)")
+		saturate = flag.Bool("saturate", false, "binary-search the saturation rate instead of one run")
+		repeat   = flag.Int("repeat", 1, "repeat the scenario with seeds seed..seed+repeat-1 on one reused engine; reports mean/stddev and engine speed")
 
 		traceF      = flag.String("trace", "", "single run: write sampled engine trace events (NDJSON) to this file")
 		traceSample = flag.Int("tracesample", 1, "single run: with -trace, emit events every Nth slot")
@@ -302,7 +301,7 @@ func main() {
 			burst:        *burst,
 			rates:        *rateList, seeds: *seeds, modes: *modes,
 			waves: *waveList, slots: *slots, drain: *drain, maxQ: *maxQ,
-			seed: *seed, workers: *workers, replicas: parseReplicas(*replicas), parallel: *parallelF, format: *format, raw: *raw,
+			seed: *seed, workers: *workers, replicas: parseReplicas(*replicas), format: *format, raw: *raw,
 			saturate: *saturate,
 			faultSet: *faultSet, faultKind: *faultKind, faultSlot: *faultSlot,
 			mtbf: *mtbf, mttr: *mttr,
@@ -411,19 +410,12 @@ func main() {
 		mode = "hot-potato"
 	}
 	if *repeat > 1 {
-		runRepeated(topo, desc, trafficName, mode, newTraffic, cfg, *seed, *repeat, *slots, *drain, *rate, *parallelF)
+		runRepeated(topo, desc, trafficName, mode, newTraffic, cfg, *seed, *repeat, *slots, *drain, *rate)
 		return
 	}
 	// sim.Run is NewEngine+Run; building the engine here lets -trace attach
 	// its event sink without changing the simulated scenario.
 	eng := sim.NewEngine(topo, cfg)
-	// -parallel 0 (auto) and 1 are serial; k >= 2 arms k shard workers.
-	// Tracing forces serial slots regardless, and the sharded path changes
-	// no simulated bit either way.
-	if *parallelF > 1 {
-		eng.SetParallel(*parallelF)
-		defer eng.Close()
-	}
 	var tr *obs.Trace
 	if *traceF != "" {
 		t, err := obs.OpenTraceFile(*traceF, *traceSample)
@@ -447,12 +439,8 @@ func main() {
 // on one reused engine (compiled once, Reset per run), reporting per-seed
 // mean/stddev of the headline metrics and the engine's simulation speed.
 func runRepeated(topo sim.Topology, desc, trafficName, mode string, newTraffic func() sim.Traffic,
-	cfg sim.Config, seed int64, repeat, slots, drain int, rate float64, parallel int) {
+	cfg sim.Config, seed int64, repeat, slots, drain int, rate float64) {
 	e := sim.NewEngine(topo, cfg)
-	if parallel > 1 {
-		e.SetParallel(parallel)
-		defer e.Close()
-	}
 	start := time.Now()
 	var thr, lat, hops stats
 	totalSlots := 0
@@ -576,7 +564,6 @@ type sweepOpts struct {
 	seed                int64
 	workers             int
 	replicas            int // sweep.Runner.Replicas (AutoReplicas, 0, or >= 2)
-	parallel            int // sweep.Runner.Parallel (0/1 = serial, >= 2 = intra-run shards)
 	format              string
 	raw                 bool
 	saturate            bool
@@ -686,7 +673,7 @@ func runSweep(o sweepOpts) {
 		Faults:      fspecs,
 		Workloads:   wspecs,
 	}
-	runner := sweep.Runner{Workers: o.workers, Replicas: o.replicas, Parallel: o.parallel}
+	runner := sweep.Runner{Workers: o.workers, Replicas: o.replicas}
 
 	if o.saturate {
 		printSaturation(runner.Saturate(grid, o.slots, 0.95, o.seed), o.format)

@@ -99,6 +99,44 @@ func TestDocsTestNamesExist(t *testing.T) {
 	}
 }
 
+// TestDocsFlagsExist applies the same drift guard to README's flag
+// tables: every "| `-flag` |" row must name a flag some command under
+// cmd/ still defines (flag.Int("name", ...), fs.String("name", ...)).
+func TestDocsFlagsExist(t *testing.T) {
+	defined := map[string]bool{}
+	decl := regexp.MustCompile(`\b(?:flag|fs)\.[A-Z][A-Za-z0-9]*\("([A-Za-z0-9_-]+)"`)
+	files, err := filepath.Glob(filepath.Join("cmd", "*", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+			defined[m[1]] = true
+		}
+	}
+	if len(defined) == 0 {
+		t.Fatal("no flags found under cmd/")
+	}
+	src, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile("(?m)^\\| `-([A-Za-z0-9_-]+)` \\|")
+	rows := row.FindAllStringSubmatch(string(src), -1)
+	if len(rows) == 0 {
+		t.Fatal("README.md has no flag table rows")
+	}
+	for _, m := range rows {
+		if !defined[m[1]] {
+			t.Errorf("README.md documents -%s, which no command defines", m[1])
+		}
+	}
+}
+
 // TestInternalPackagesHaveDocComments keeps every internal package
 // documented: some file of each package must carry a line-start
 // "// Package <name> " doc comment — the exact invariant the CI docs job

@@ -223,11 +223,6 @@ type replica struct {
 	// one bool. Both stay nil/false in normal (untraced) runs.
 	trace     *obs.Trace
 	traceSlot bool
-
-	// par, when non-nil, holds the intra-slot parallel machinery (shard
-	// workers, ranges, per-shard scratch); see parallel.go and
-	// Engine.SetParallel. Serial replicas leave it nil.
-	par *parState
 }
 
 // attach points the replica at a compiled snapshot.
@@ -308,8 +303,6 @@ func (e *replica) reset(cfg Config) {
 	// completed runs flush (and re-zero) them before the next reset.
 	e.obs.activeSum, e.obs.touchedSum, e.obs.qDepthSum = 0, 0, 0
 	e.obs.qDepth = [qDepthBuckets]int64{}
-	e.obs.parSlots, e.obs.parImbSum = 0, 0
-	e.obs.parImb = [parImbBuckets]int64{}
 	e.traceSlot = false
 	if e.dyn != nil {
 		e.dyn.Reset()
@@ -407,8 +400,8 @@ func (e *replica) resolveHead(node int, dst int32) {
 // resolveStaleHeads looks up every head marked stale since the last step.
 // It runs first in step, before fault events, so each head reads the same
 // table a lookup at marking time would have read, and every later reader
-// of headReq — the request scans, the masked refresh in
-// applyTopologyChange, the parallel path — sees only fresh requests.
+// of headReq — the request scans and the masked refresh in
+// applyTopologyChange — sees only fresh requests.
 func (e *replica) resolveStaleHeads() {
 	for _, u := range e.active {
 		if r := e.headReq[u]; r.coupler == staleHead {
@@ -474,13 +467,7 @@ func (e *replica) step() {
 		e.traceSlot = e.traceSampled()
 	}
 
-	// Parallel-armed replicas shard the slot when enough nodes are active
-	// to amortize the phase barriers; traced slots always run serially
-	// (trace emission is inherently ordered). Serial and parallel slots
-	// produce bit-for-bit identical state, so a run may mix them.
-	if e.par != nil && e.trace == nil && len(e.active) >= e.par.threshold {
-		e.stepParallel()
-	} else if e.cfg.Wavelengths <= 1 {
+	if e.cfg.Wavelengths <= 1 {
 		e.stepSingleWavelength()
 	} else {
 		e.stepMultiWavelength()
@@ -1011,6 +998,16 @@ func (e *Engine) Run(traffic Traffic, slots, drain int, cfg Config) Metrics {
 	e.onDeliver = e.OnDeliver
 	return e.run(traffic, slots, drain, cfg)
 }
+
+// SetParallel does nothing: the engine always steps serially. Only the
+// perfbench harness still calls it; the next benchmark change removes
+// that call and this method.
+func (e *Engine) SetParallel(int) {}
+
+// Close does nothing: an engine holds no goroutines or other resources.
+// Only the perfbench harness still calls it; the next benchmark change
+// removes that call and this method.
+func (e *Engine) Close() {}
 
 // txRequest is one node's wish to drive one coupler toward one next hop.
 // delivers carries the precompiled delivers-here bit so Phase 4 never

@@ -48,10 +48,6 @@ type ReplicaSet struct {
 	// Slab capacities: reps[i]'s state is carved out of shared backing
 	// arrays allocated for slabCap replicas over an (n, m) topology.
 	slabCap int
-
-	// par, when non-nil, fans StepAll across a worker crew; see
-	// SetParallel in parallel.go. Serial sets leave it nil.
-	par *rsPar
 }
 
 // ReplicaSpec describes one scenario slot of a batch.
@@ -256,16 +252,10 @@ func (rs *ReplicaSet) buildGroups() {
 
 // StepAll advances every live replica by one slot. The shared snapshot is
 // read by all of them; each replica's mutable state lives in its own slab
-// section, so steps are independent and order-free — which is exactly why
-// a parallel-armed set (SetParallel) may fan them across workers without
-// changing any result.
+// section, so steps are independent and order-free.
 func (rs *ReplicaSet) StepAll() {
-	if rs.par != nil && len(rs.live) > 1 {
-		rs.stepAllParallel()
-	} else {
-		for _, ri := range rs.live {
-			rs.reps[ri].step()
-		}
+	for _, ri := range rs.live {
+		rs.reps[ri].step()
 	}
 	rs.slot++
 }

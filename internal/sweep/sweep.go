@@ -242,37 +242,13 @@ type Runner struct {
 	// AutoReplicas picks a batch size from the grid shape and worker
 	// count. Results are bit-for-bit identical either way.
 	Replicas int
-	// Parallel is the intra-run shard count: every engine (and replica
-	// set) a worker builds is armed with sim.SetParallel(Parallel), so a
-	// single scenario's slot loop is itself sharded across goroutines.
-	// 0 or 1 leaves runs serial — the right default for sweeps, where
-	// scenario-level fan-out already saturates the machine. When
-	// Parallel > 1 and Workers is unset, the default pool shrinks to
-	// GOMAXPROCS/Parallel so the combined goroutine budget stays at
-	// GOMAXPROCS. Parallelism never changes results or cache keys.
-	Parallel int
 }
 
 func (r Runner) workers() int {
 	if r.Workers > 0 {
 		return r.Workers
 	}
-	w := runtime.GOMAXPROCS(0)
-	if p := r.parallel(); p > 1 {
-		w /= p
-		if w < 1 {
-			w = 1
-		}
-	}
-	return w
-}
-
-// parallel resolves the intra-run shard count (1 means serial).
-func (r Runner) parallel() int {
-	if r.Parallel > 1 {
-		return r.Parallel
-	}
-	return 1
+	return runtime.GOMAXPROCS(0)
 }
 
 // Run executes every scenario and returns results in input order. Each
@@ -323,7 +299,7 @@ func (r Runner) RunCached(ctx context.Context, points []Scenario, cache PointCac
 	}
 	results := make([]Result, len(points))
 	err := r.fanScopedCtx(ctx, len(points), func() (func(int), func()) {
-		engines := &engineCache{par: r.parallel()}
+		engines := &engineCache{}
 		sh := obs.NextShard()
 		fn := func(i int) {
 			sweepObs.started.AddShard(sh, 1)
@@ -353,7 +329,7 @@ func (r Runner) RunCached(ctx context.Context, points []Scenario, cache PointCac
 				progress(i, results[i], false)
 			}
 		}
-		return fn, engines.close
+		return fn, nil
 	})
 	return results, err
 }
@@ -362,7 +338,6 @@ func (r Runner) RunCached(ctx context.Context, points []Scenario, cache PointCac
 // keyed by base-topology identity. Grids name only a handful of
 // topologies, so a linear scan beats hashing interface values.
 type engineCache struct {
-	par     int // intra-run shard count each engine is armed with
 	entries []cacheEntry
 }
 
@@ -394,7 +369,6 @@ func (c *engineCache) run(p Scenario) sim.Metrics {
 	if p.Fault.IsZero() {
 		if ent.eng == nil {
 			ent.eng = sim.NewEngine(ent.base, cfg)
-			c.arm(ent.eng)
 		}
 		return ent.eng.Run(p.traffic(), p.Slots, p.Drain, cfg)
 	}
@@ -402,32 +376,10 @@ func (c *engineCache) run(p Scenario) sim.Metrics {
 	if ent.ft == nil {
 		ent.ft = faults.Wrap(ent.base, plan)
 		ent.ftEng = sim.NewEngine(ent.ft, cfg)
-		c.arm(ent.ftEng)
 	} else {
 		ent.ft.SetPlan(plan)
 	}
 	return ent.ftEng.Run(p.traffic(), p.Slots, p.Drain, cfg)
-}
-
-// arm enables intra-run parallelism on a freshly built engine when the
-// runner asks for it.
-func (c *engineCache) arm(e *sim.Engine) {
-	if c.par > 1 {
-		e.SetParallel(c.par)
-	}
-}
-
-// close releases the parallel crews of every cached engine; serial
-// engines are unaffected (Close is a no-op for them).
-func (c *engineCache) close() {
-	for i := range c.entries {
-		if c.entries[i].eng != nil {
-			c.entries[i].eng.Close()
-		}
-		if c.entries[i].ftEng != nil {
-			c.entries[i].ftEng.Close()
-		}
-	}
 }
 
 // RunGrid expands the grid and runs it.
@@ -496,8 +448,7 @@ func (r Runner) fanScoped(n int, newWorker func() (func(i int), func())) {
 // done, no further indices are handed out (indices already claimed by a
 // worker finish normally) and ctx.Err() is returned. newWorker returns
 // the per-index body plus an optional teardown, run when the worker
-// drains — the hook that releases parallel-armed engines and returns
-// warmed replica sets to the recycler.
+// drains — the hook that returns warmed replica sets to the recycler.
 func (r Runner) fanScopedCtx(ctx context.Context, n int, newWorker func() (func(i int), func())) error {
 	workers := r.workers()
 	if workers > n {

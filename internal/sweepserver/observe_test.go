@@ -58,9 +58,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE netsim_sweepcache_hits_total counter",
 		"# TYPE netsim_server_jobs_submitted_total counter",
 		"# TYPE netsim_server_jobs_running gauge",
-		"# TYPE netsim_sim_parallel_shards gauge",
-		"# TYPE netsim_sim_parallel_slots_total counter",
-		"# TYPE netsim_sim_parallel_imbalance_ns histogram",
 	} {
 		if !strings.Contains(text, family+"\n") {
 			t.Errorf("idle exposition missing %q", family)

@@ -2,15 +2,13 @@
 # Runs the engine performance benchmarks — the compiled-topology hot path,
 # its frozen legacy-engine baselines, the large-N O(active) benchmark, the
 # service-layer pair (cold grid vs warm content-addressed cache), the
-# PR 6 batched-dispatch pair (per-scenario grid vs ReplicaSet batches)
-# and the PR 8 intra-run parallel pair (serial Step vs the coupler-range
-# sharded slot loop at N=12288) — and emits a BENCH_<n>.json with ns/op,
-# B/op, allocs/op per benchmark plus the same-machine speedups: compiled
-# engine over the legacy baseline, the warm-cache grid over the cold grid
-# (service-layer contract >= 10x), the batched grid over per-scenario
-# dispatch, and serial Step over the sharded slot loop
-# ("parallel_step_speedup"; below 1.0 on runners with too few cores —
-# the crew is overhead there, and the snapshot records that honestly).
+# batched-dispatch pair (per-scenario grid vs ReplicaSet batches) — and
+# emits a BENCH_<n>.json with ns/op, B/op, allocs/op per benchmark plus
+# the same-machine speedups: compiled engine over the legacy baseline,
+# the warm-cache grid over the cold grid (service-layer contract >= 10x),
+# the batched grid over per-scenario dispatch, and batched over solo
+# stepping. Snapshots up to BENCH_8.json also carry the since-deleted
+# intra-run parallel pair as "parallel_step_speedup".
 # BENCH_<n>.json snapshots accumulate per PR, and the snapshot's "pr"
 # field is the <n> of its file name (null when OUT is named otherwise).
 # `go run ./cmd/benchdiff` prints the trajectory
@@ -36,14 +34,13 @@ fi
 PR=$(snapshot_pr "$OUT")
 PR=${PR:-null}
 
-PATTERN='BenchmarkStepAllocFree|BenchmarkT7SimThroughput|BenchmarkT7LegacyEngine|BenchmarkSweepGrid$|BenchmarkSweepGridLegacyEngine|BenchmarkStepLargeN|BenchmarkStepLargeNParallel|BenchmarkSweepCachedGrid|BenchmarkSweepGridBatched|BenchmarkBatchedStep'
+PATTERN='BenchmarkStepAllocFree|BenchmarkT7SimThroughput|BenchmarkT7LegacyEngine|BenchmarkSweepGrid$|BenchmarkSweepGridLegacyEngine|BenchmarkStepLargeN|BenchmarkSweepCachedGrid|BenchmarkSweepGridBatched|BenchmarkBatchedStep'
 
 raw=$(go test -run=NONE -bench="$PATTERN" -benchtime="$BENCHTIME" -benchmem .)
 printf '%s\n' "$raw"
 
-# The runner's core count contextualizes parallel_step_speedup: on a
-# machine with too few cores the shard crew is pure overhead and the
-# ratio honestly drops below 1.0.
+# The runner's core count contextualizes the sweep timings, whose worker
+# pool defaults to GOMAXPROCS.
 GOMAXPROCS_N=$(go env GOMAXPROCS 2>/dev/null || true)
 [ -n "$GOMAXPROCS_N" ] || GOMAXPROCS_N=$(getconf _NPROCESSORS_ONLN)
 
@@ -81,8 +78,6 @@ END {
 	swb = lookup["BenchmarkSweepGridBatched"]
 	stb = lookup["BenchmarkBatchedStep/batched"]
 	sts = lookup["BenchmarkBatchedStep/solo"]
-	pss = lookup["BenchmarkStepLargeNParallel/KG(2,13)-N=12288/serial"]
-	psp = lookup["BenchmarkStepLargeNParallel/KG(2,13)-N=12288/parallel"]
 	printf "  \"speedup_vs_legacy\": {"
 	if (t7n > 0 && t7o > 0) printf "\"BenchmarkT7SimThroughput\": %.2f", t7o / t7n
 	if (swn > 0 && swo > 0) printf ", \"BenchmarkSweepGrid\": %.2f", swo / swn
@@ -92,9 +87,7 @@ END {
 	printf "  \"batched_speedup\": "
 	if (swn > 0 && swb > 0) printf "%.2f,\n", swn / swb; else printf "null,\n"
 	printf "  \"batched_step_speedup\": "
-	if (stb > 0 && sts > 0) printf "%.2f,\n", sts / stb; else printf "null,\n"
-	printf "  \"parallel_step_speedup\": "
-	if (pss > 0 && psp > 0) printf "%.2f\n", pss / psp; else printf "null\n"
+	if (stb > 0 && sts > 0) printf "%.2f\n", sts / stb; else printf "null\n"
 	printf "}\n"
 }' > "$OUT"
 
