@@ -316,6 +316,26 @@ func BenchmarkStepLargeN(b *testing.B) {
 	}
 }
 
+// BenchmarkTopologyBuild times building the all-pairs distance and route
+// tables (one fused bit-parallel BFS) of the benchmark's two single-run
+// topologies. With -benchmem, B/op shows their 6 bytes per pair.
+func BenchmarkTopologyBuild(b *testing.B) {
+	g := kautz.NewDeBruijn(2, 12).Digraph()
+	b.Run(fmt.Sprintf("deBruijn(2,12)-N=%d", g.N()), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sim.NewPointToPointTopology(g)
+		}
+	})
+	sg := stackkautz.New(8, 3, 4).StackGraph()
+	b.Run(fmt.Sprintf("SK(8,3,4)-N=%d", sg.N()), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sim.NewStackTopology(sg)
+		}
+	})
+}
+
 // BenchmarkStepAllocFree drives the engine at a sustained sub-saturation
 // load and verifies the simulation hot path is allocation-free in steady
 // state: the "step" variant measures Engine.Step alone under a

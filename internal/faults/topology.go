@@ -15,12 +15,15 @@ import (
 // events NextCoupler remains an O(1) lookup, preserving the engine's
 // allocation-free steady-state Step.
 //
-// The table is kept as one flat []sim.RouteEntry (with the packed
-// delivers-here bit) and lent to the engine through RouteTable, with the
-// distance rows lent through DistanceRows: the compiled engine reads the
-// same memory this type repairs, so a fault event invalidates exactly the
-// compiled rows it rebuilds, with no copying or notification beyond the
-// sim.TopologyChange the engine already consumes.
+// The table is kept as one flat []sim.RouteEntry (4-byte entries with the
+// packed delivers-here bit) and lent to the engine through RouteTable,
+// with the int16 distance rows lent through DistanceRows. Entries index
+// into the base out-coupler lists, never the masked live ones, so they
+// mean the same thing before and after any event and the engine decodes
+// them through the CSR it copied at Compile. The compiled engine
+// reads the same memory this type repairs, so a fault event invalidates
+// exactly the compiled rows it rebuilds, with no copying or notification
+// beyond the sim.TopologyChange the engine already consumes.
 //
 // FaultedTopology is stateful and single-engine: concurrent scenarios (e.g.
 // sweep workers) must each wrap their own instance around the shared
@@ -54,17 +57,20 @@ type FaultedTopology struct {
 	// the array lent to the engine via RouteTable.
 	liveOut   [][]int
 	liveHeads [][]int
-	dist      [][]int
+	dist      [][]int16
 	route     [][]sim.RouteEntry
 	routeFlat []sim.RouteEntry
 
 	// Event-time scratch.
-	prevDist     []int  // previous dist row during recompute
-	distChanged  []bool // node -> dist row changed this event
-	dirty        []bool // node -> route row must be rebuilt this event
-	entryChanged []bool // n*n bitmap of changed route entries
-	changedRows  []int  // rows marked in entryChanged (cleared next event)
-	failedNodes  []int  // nodes that went down this event
+	prevDist    []int16 // previous dist row during recompute
+	distChanged []bool  // node -> dist row changed this event
+	dirty       []bool  // node -> route row must be rebuilt this event
+	// entryChanged is the bitset of changed route entries, rowWords
+	// 64-bit words per row: bit dst of row u is word u*rowWords+dst/64.
+	entryChanged []uint64
+	rowWords     int
+	changedRows  []int // rows marked in entryChanged (cleared next event)
+	failedNodes  []int // nodes that went down this event
 	bfsQueue     []int
 
 	rowsRebuilt int
@@ -83,6 +89,7 @@ type FaultedTopology struct {
 // snapshot or an injection stream.
 func Wrap(base sim.Topology, plan Plan) *FaultedTopology {
 	n, m := base.Nodes(), base.Couplers()
+	w := (n + 63) / 64
 	ft := &FaultedTopology{
 		base: base, plan: plan, n: n, m: m,
 		baseOut:      make([][]int, n),
@@ -94,12 +101,13 @@ func Wrap(base sim.Topology, plan Plan) *FaultedTopology {
 		txDown:       make([][]bool, n),
 		liveOut:      make([][]int, n),
 		liveHeads:    make([][]int, m),
-		dist:         make([][]int, n),
+		dist:         make([][]int16, n),
 		route:        make([][]sim.RouteEntry, n),
-		prevDist:     make([]int, n),
+		prevDist:     make([]int16, n),
 		distChanged:  make([]bool, n),
 		dirty:        make([]bool, n),
-		entryChanged: make([]bool, n*n),
+		entryChanged: make([]uint64, n*w),
+		rowWords:     w,
 	}
 	for u := 0; u < n; u++ {
 		ft.baseOut[u] = append([]int(nil), base.OutCouplers(u)...)
@@ -116,7 +124,7 @@ func Wrap(base sim.Topology, plan Plan) *FaultedTopology {
 			ft.headOf[h] = append(ft.headOf[h], c)
 		}
 	}
-	distFlat := make([]int, n*n)
+	distFlat := make([]int16, n*n)
 	ft.routeFlat = make([]sim.RouteEntry, n*n)
 	for u := 0; u < n; u++ {
 		ft.dist[u] = distFlat[u*n : (u+1)*n : (u+1)*n]
@@ -190,15 +198,16 @@ func (ft *FaultedTopology) Reset() {
 	} else {
 		for u := 0; u < ft.n; u++ {
 			for v := 0; v < ft.n; v++ {
-				ft.dist[u][v] = ft.base.Distance(u, v)
+				ft.dist[u][v] = int16(ft.base.Distance(u, v))
 			}
 		}
 	}
 	if rt, ok := ft.base.(sim.RouteTabled); ok {
 		copy(ft.routeFlat, rt.RouteTable())
 	} else {
-		// Generic bases are queried per pair; the delivers-here bit is the
-		// exact head-set membership the engine needs: dst ∈ Heads(coupler).
+		// Generic bases are queried per pair and encoded against their
+		// lists; the delivers-here bit is the exact head-set membership
+		// the engine needs: dst ∈ Heads(coupler).
 		hears := make([]bool, ft.m)
 		for dst := 0; dst < ft.n; dst++ {
 			for _, c := range ft.headOf[dst] {
@@ -206,7 +215,7 @@ func (ft *FaultedTopology) Reset() {
 			}
 			for u := 0; u < ft.n; u++ {
 				c, hop := ft.base.NextCoupler(u, dst)
-				ft.route[u][dst] = sim.MakeRouteEntry(c, hop, c >= 0 && c < ft.m && hears[c])
+				ft.route[u][dst] = sim.EncodeRoute(ft.base, u, c, hop, c >= 0 && c < ft.m && hears[c])
 			}
 			for _, c := range ft.headOf[dst] {
 				hears[c] = false
@@ -234,10 +243,7 @@ func (ft *FaultedTopology) SetPlan(plan Plan) {
 }
 
 func (ft *FaultedTopology) clearChangedRow(u int) {
-	row := ft.entryChanged[u*ft.n : (u+1)*ft.n]
-	for i := range row {
-		row[i] = false
-	}
+	clear(ft.entryChanged[u*ft.rowWords : (u+1)*ft.rowWords])
 }
 
 // RowsRebuilt returns the cumulative number of route-table rows rebuilt by
@@ -267,12 +273,11 @@ func (ft *FaultedTopology) Heads(c int) []int { return ft.liveHeads[c] }
 
 // Distance returns the hop distance on the surviving structure
 // (digraph.Unreachable when dst is cut off).
-func (ft *FaultedTopology) Distance(u, dst int) int { return ft.dist[u][dst] }
+func (ft *FaultedTopology) Distance(u, dst int) int { return int(ft.dist[u][dst]) }
 
 // NextCoupler is the O(1) route-table lookup, same contract as the base.
 func (ft *FaultedTopology) NextCoupler(u, dst int) (int, int) {
-	r := ft.route[u][dst]
-	return r.Coupler(), r.NextHop()
+	return ft.route[u][dst].Decode(u, dst, ft.baseOut[u])
 }
 
 // RouteTable lends the engine the live flat route table (sim.RouteTabled).
@@ -282,7 +287,7 @@ func (ft *FaultedTopology) RouteTable() []sim.RouteEntry { return ft.routeFlat }
 
 // DistanceRows lends the engine the live surviving-structure distance rows
 // (sim.DistanceRowed); Advance rewrites row contents in place.
-func (ft *FaultedTopology) DistanceRows() [][]int { return ft.dist }
+func (ft *FaultedTopology) DistanceRows() [][]int16 { return ft.dist }
 
 // --- sim.DynamicTopology ---
 
@@ -404,7 +409,7 @@ func (ft *FaultedTopology) Advance(slot int) sim.TopologyChange {
 		Changed:     true,
 		FailedNodes: ft.failedNodes,
 		EntryChanged: func(u, dst int) bool {
-			return ft.entryChanged[u*ft.n+dst]
+			return ft.entryChanged[u*ft.rowWords+dst>>6]&(1<<(dst&63)) != 0
 		},
 	}
 }
@@ -449,7 +454,7 @@ func (ft *FaultedTopology) rebuildRow(u int) {
 		e := ft.scanEntry(u, dst)
 		if e != ft.route[u][dst] {
 			ft.route[u][dst] = e
-			ft.entryChanged[u*ft.n+dst] = true
+			ft.entryChanged[u*ft.rowWords+dst>>6] |= 1 << (dst & 63)
 			rowFlagged = true
 		}
 	}
@@ -461,26 +466,27 @@ func (ft *FaultedTopology) rebuildRow(u int) {
 // scanEntry picks, in coupler and head order (same tie-breaking as the
 // base topologies' construction-time oracles), the coupler whose live head
 // set contains the node strictly closest to dst on the surviving
-// distances. The scan walks live head sets and only dst itself is at
-// distance 0, so the chosen next hop is dst exactly when dst hears the
-// chosen coupler — which is the packed delivers-here bit.
+// distances. It walks u's base out list and skips masked couplers, which
+// visits the live list in its order while keeping the base index the
+// entry is encoded with. Only dst itself is at distance 0, so the chosen
+// next hop is dst exactly when dst hears the chosen coupler — which is the
+// packed delivers-here bit.
 func (ft *FaultedTopology) scanEntry(u, dst int) sim.RouteEntry {
-	if u == dst {
-		return sim.MakeRouteEntry(-1, u, false)
-	}
-	best, bestHop := -1, -1
 	bestDist := ft.dist[u][dst]
-	if bestDist == digraph.Unreachable {
-		return sim.MakeRouteEntry(-1, -1, false)
+	if u == dst || bestDist == digraph.Unreachable {
+		return sim.NoRoute
 	}
-	for _, c := range ft.liveOut[u] {
+	best := sim.NoRoute
+	for oi, c := range ft.baseOut[u] {
+		if ft.couplerDown[c] || ft.txDown[u][oi] {
+			continue
+		}
 		for _, h := range ft.liveHeads[c] {
-			d := ft.dist[h][dst]
-			if d != digraph.Unreachable && d < bestDist {
+			if d := ft.dist[h][dst]; d != digraph.Unreachable && d < bestDist {
 				bestDist = d
-				best, bestHop = c, h
+				best = sim.MakeRouteEntry(oi, h, h == dst)
 			}
 		}
 	}
-	return sim.MakeRouteEntry(best, bestHop, best >= 0 && bestHop == dst)
+	return best
 }

@@ -1,12 +1,18 @@
 package sim
 
+import "fmt"
+
 // Compiled-topology snapshot: the engine does not call any Topology method
 // inside Step. At construction the topology is compiled into flat arrays —
 // CSR out-coupler and head lists, one row-major route table with a packed
 // delivers-here bit, and distance rows — and the step loop reads only
-// those. Topologies that already maintain the tables in this shape (the
-// stack, point-to-point and fault-wrapped topologies) hand the snapshot
-// their live backing arrays, so compilation is O(n + m + arcs) and dynamic
+// those. Route entries name the coupler by its index in the source's out
+// list, so the snapshot also keeps the immutable out-list CSR they index
+// into (the live one for static topologies, a copy taken at Compile for
+// dynamic ones).
+// Topologies that already maintain the tables in this shape (the stack,
+// point-to-point and fault-wrapped topologies) hand the snapshot their
+// live backing arrays, so compilation is O(n + m + arcs) and dynamic
 // row repairs done by faults.FaultedTopology are visible to the engine
 // without any copying or invalidation protocol. Arbitrary Topology
 // implementations are compiled by querying the interface once per (u, dst)
@@ -18,52 +24,95 @@ package sim
 // and only replicas with a private dynamic topology (a fault wrapper)
 // compile a private view.
 
-// deliverFlag marks a RouteEntry whose destination hears the chosen
-// coupler, so delivery needs no head-set scan on the hot path.
-const deliverFlag = 1 << 30
+// RouteEntry is a packed, precompiled routing decision in 4 bytes. Bits
+// 0..14 hold the index of the coupler to request in the source's
+// out-coupler list, bits 15..29 the preferred next-hop node, and bit 30
+// the delivers-here bit (the destination itself hears the coupler). Bit
+// 31 is clear in every route; NoRoute, all ones, marks a pair with no
+// route, the source's own entry included. Naming the coupler by its index
+// rather than its id keeps the entry at 4 bytes for every topology of up
+// to MaxNodes nodes, whatever its coupler count. The index refers to the
+// out-coupler lists the table was built over (see RouteTabled); Decode
+// expands an entry back to ids.
+type RouteEntry uint32
 
-// RouteEntry is a packed, precompiled routing decision: the coupler to
-// request, the preferred next-hop node, and whether the destination itself
-// hears that coupler (the delivers-here bit). The zero value is an
-// unroutable entry pointing at node 0; build entries with MakeRouteEntry.
-type RouteEntry struct {
-	c int32 // coupler id, deliverFlag-tagged; -1 when no route exists
-	h int32 // preferred next hop (the destination when delivers is set)
-}
+const (
+	routeOutBits = 15
+	routeOutMask = 1<<routeOutBits - 1
+	routeHopMask = MaxNodes - 1
+	deliverBit   = RouteEntry(1) << 30
 
-// MakeRouteEntry packs one routing decision. coupler < 0 means no route
-// (or "already there" when nextHop equals the source).
-func MakeRouteEntry(coupler, nextHop int, delivers bool) RouteEntry {
-	if coupler < 0 {
-		return RouteEntry{c: -1, h: int32(nextHop)}
+	// NoRoute is the entry of a pair with no route, and of u's own entry.
+	NoRoute = ^RouteEntry(0)
+	// MaxRouteOut is the longest out-coupler list a RouteEntry can index.
+	MaxRouteOut = 1 << routeOutBits
+)
+
+// MakeRouteEntry packs one routing decision: the chosen coupler's index
+// in the source's out-coupler list, the next-hop node and the
+// delivers-here bit. It panics on a value the layout cannot hold, so no
+// decision is ever mis-encoded.
+func MakeRouteEntry(outIdx, nextHop int, delivers bool) RouteEntry {
+	if outIdx < 0 || outIdx >= MaxRouteOut || nextHop < 0 || nextHop >= MaxNodes {
+		panic(fmt.Sprintf("sim: route entry (out %d, next hop %d) outside the 4-byte layout", outIdx, nextHop))
 	}
-	c := int32(coupler)
+	r := RouteEntry(outIdx) | RouteEntry(nextHop)<<routeOutBits
 	if delivers {
-		c |= deliverFlag
+		r |= deliverBit
 	}
-	return RouteEntry{c: c, h: int32(nextHop)}
+	return r
 }
 
-// Coupler returns the coupler to request, or -1 when no route exists.
-func (r RouteEntry) Coupler() int {
-	if r.c < 0 {
-		return -1
+// EncodeRoute packs node u's decision to reach its destination over
+// coupler toward nextHop, as ids, against t's current out-coupler list.
+// coupler < 0 means no route. It panics when the coupler is not one of
+// u's: such a decision has no index form.
+func EncodeRoute(t Topology, u, coupler, nextHop int, delivers bool) RouteEntry {
+	if coupler < 0 {
+		return NoRoute
 	}
-	return int(r.c &^ deliverFlag)
+	for oi, c := range t.OutCouplers(u) {
+		if c == coupler {
+			return MakeRouteEntry(oi, nextHop, delivers)
+		}
+	}
+	panic(fmt.Sprintf("sim: node %d routes over coupler %d, not one of its out-couplers", u, coupler))
 }
+
+// Routed reports whether the entry names a coupler.
+func (r RouteEntry) Routed() bool { return r != NoRoute }
+
+// OutIndex returns the chosen coupler's index in the source's out list.
+func (r RouteEntry) OutIndex() int { return int(r & routeOutMask) }
 
 // NextHop returns the preferred next-hop node.
-func (r RouteEntry) NextHop() int { return int(r.h) }
+func (r RouteEntry) NextHop() int { return int(r >> routeOutBits & routeHopMask) }
 
 // Delivers reports whether the destination hears the chosen coupler.
-func (r RouteEntry) Delivers() bool { return r.c >= 0 && r.c&deliverFlag != 0 }
+func (r RouteEntry) Delivers() bool { return r.Routed() && r&deliverBit != 0 }
+
+// Decode expands the entry of pair (u, dst) to NextCoupler's ids, given
+// the out-coupler list of u it was encoded against. An unrouted entry
+// decodes to (-1, u) for u == dst and (-1, -1) otherwise.
+func (r RouteEntry) Decode(u, dst int, out []int) (coupler, nextHop int) {
+	if !r.Routed() {
+		if u == dst {
+			return -1, u
+		}
+		return -1, -1
+	}
+	return out[r.OutIndex()], r.NextHop()
+}
 
 // RouteTabled is implemented by topologies that maintain their routing
 // decisions as one flat row-major table (entry for (u, dst) at index
-// u*Nodes()+dst). The snapshot borrows the returned slice as its hot-path
-// route table instead of copying it, so a dynamic topology that repairs
-// rows in place (faults.FaultedTopology) updates the engine for free. The
-// slice identity must be stable for the topology's lifetime.
+// u*Nodes()+dst). Entries index into OutCouplers(u) as it stands at
+// Compile time (for a DynamicTopology, right after Reset), and keep doing
+// so after fault events shrink the live lists. The snapshot
+// borrows the returned slice as its hot-path route table instead of
+// copying it, so a dynamic topology that repairs rows in place
+// (faults.FaultedTopology) updates the engine for free. The slice identity
+// must be stable for the topology's lifetime.
 type RouteTabled interface {
 	RouteTable() []RouteEntry
 }
@@ -73,15 +122,15 @@ type RouteTabled interface {
 // off). The snapshot borrows the outer slice; dynamic topologies may
 // rewrite row contents in place between slots.
 type DistanceRowed interface {
-	DistanceRows() [][]int
+	DistanceRows() [][]int16
 }
 
 // CompiledTopology is the flat, step-ready form of a Topology: CSR
-// out-coupler and head lists, the row-major route table and the distance
-// rows. It is immutable between topology events, so any number of replicas
-// may share one instance; a replica whose topology is dynamic (fault
-// events) must own a private instance, because events repair the tables in
-// place.
+// out-coupler and head lists, the row-major route table with the out-list
+// CSR its entries index into, and the distance rows. It is immutable
+// between topology events, so any number of replicas may share one
+// instance; a replica whose topology is dynamic (fault events) must own a
+// private instance, because events repair the tables in place.
 type CompiledTopology struct {
 	topo Topology
 	n, m int
@@ -93,9 +142,17 @@ type CompiledTopology struct {
 	headCount []int32
 	headList  []int32
 	route     []RouteEntry // row-major (u, dst) routing decisions
-	dist      [][]int      // dist[u][dst] for deflection choices
+	dist      [][]int16    // dist[u][dst] for deflection choices
 	ownsRoute bool
 	ownsDist  bool
+
+	// The decode CSR: entry (u, dst) names coupler
+	// routeOut[routeOutStart[u]+OutIndex()]. It aliases the live out CSR
+	// unless the topology is dynamic and lends its route table: fault
+	// masks shrink the live lists, while the lent entries keep indexing
+	// the pristine ones, so those are copied at Compile.
+	routeOutStart []int32
+	routeOut      []int32
 
 	// dirty records that a topology event mutated the snapshot since the
 	// last sync, so a Reset recompiles only when something actually changed.
@@ -107,10 +164,14 @@ type CompiledTopology struct {
 // snapshot covers the full (pristine) structure and the CSR slot
 // capacities fit the largest live structure.
 func Compile(topo Topology) *CompiledTopology {
-	if dyn, ok := topo.(DynamicTopology); ok {
+	dyn, isDyn := topo.(DynamicTopology)
+	if isDyn {
 		dyn.Reset()
 	}
 	n, m := topo.Nodes(), topo.Couplers()
+	if n > MaxNodes {
+		panic(fmt.Sprintf("sim: %d nodes exceed the table limit of %d", n, MaxNodes))
+	}
 	ct := &CompiledTopology{topo: topo, n: n, m: m}
 	ct.outStart = make([]int32, n+1)
 	for u := 0; u < n; u++ {
@@ -126,8 +187,13 @@ func Compile(topo Topology) *CompiledTopology {
 	ct.headList = make([]int32, ct.headStart[m])
 	ct.refreshStructure()
 
+	ct.routeOutStart, ct.routeOut = ct.outStart, ct.outList
 	if rt, ok := topo.(RouteTabled); ok {
 		ct.route = rt.RouteTable()
+		if isDyn {
+			ct.routeOutStart = append([]int32(nil), ct.outStart...)
+			ct.routeOut = append([]int32(nil), ct.outList...)
+		}
 	} else {
 		ct.ownsRoute = true
 		ct.route = make([]RouteEntry, n*n)
@@ -137,8 +203,8 @@ func Compile(topo Topology) *CompiledTopology {
 		ct.dist = dr.DistanceRows()
 	} else {
 		ct.ownsDist = true
-		flat := make([]int, n*n)
-		ct.dist = make([][]int, n)
+		flat := make([]int16, n*n)
+		ct.dist = make([][]int16, n)
 		for u := 0; u < n; u++ {
 			ct.dist[u] = flat[u*n : (u+1)*n : (u+1)*n]
 		}
@@ -209,9 +275,10 @@ func (ct *CompiledTopology) relayoutHeads() {
 }
 
 // rebuildOwnedRoute recompiles the snapshot-owned route table by querying
-// the Topology interface once per (u, dst) pair. The delivers-here bit is
-// the exact head-set membership the legacy engine tested per transmission:
-// dst ∈ Heads(chosen coupler).
+// the Topology interface once per (u, dst) pair and encoding each decision
+// against the live out lists. The delivers-here bit is the exact head-set
+// membership the legacy engine tested per transmission: dst ∈ Heads(chosen
+// coupler).
 func (ct *CompiledTopology) rebuildOwnedRoute() {
 	// hears[c] marks, for the current dst, the couplers dst listens on.
 	hears := make([]bool, ct.m)
@@ -229,7 +296,7 @@ func (ct *CompiledTopology) rebuildOwnedRoute() {
 		}
 		for u := 0; u < ct.n; u++ {
 			c, hop := ct.topo.NextCoupler(u, dst)
-			ct.route[u*ct.n+dst] = MakeRouteEntry(c, hop, c >= 0 && c < ct.m && hears[c])
+			ct.route[u*ct.n+dst] = EncodeRoute(ct.topo, u, c, hop, c >= 0 && c < ct.m && hears[c])
 		}
 		for _, c := range heardBy[dst] {
 			hears[c] = false
@@ -242,7 +309,7 @@ func (ct *CompiledTopology) rebuildOwnedDist() {
 	for u := 0; u < ct.n; u++ {
 		row := ct.dist[u]
 		for v := 0; v < ct.n; v++ {
-			row[v] = ct.topo.Distance(u, v)
+			row[v] = int16(ct.topo.Distance(u, v))
 		}
 	}
 }
@@ -255,6 +322,9 @@ func (ct *CompiledTopology) rebuildOwnedDist() {
 func (ct *CompiledTopology) recompileDynamic() {
 	ct.refreshStructure()
 	if ct.ownsRoute {
+		// Owned entries are re-encoded against the live lists, which a
+		// relayout may have moved.
+		ct.routeOutStart, ct.routeOut = ct.outStart, ct.outList
 		ct.rebuildOwnedRoute()
 	}
 	if ct.ownsDist {

@@ -146,7 +146,10 @@ type replica struct {
 	headCount []int32
 	headList  []int32
 	route     []RouteEntry // row-major (u, dst) routing decisions
-	dist      [][]int      // dist[u][dst] for deflection choices
+	dist      [][]int16    // dist[u][dst] for deflection choices
+	// The out-list CSR route entries index into (see CompiledTopology).
+	routeOutStart []int32
+	routeOut      []int32
 
 	queues []ring
 	// rr holds per-coupler round-robin grant cursors for fairness.
@@ -240,6 +243,7 @@ func (e *replica) syncTables() {
 	e.outStart, e.outCount, e.outList = ct.outStart, ct.outCount, ct.outList
 	e.headStart, e.headCount, e.headList = ct.headStart, ct.headCount, ct.headList
 	e.route, e.dist = ct.route, ct.dist
+	e.routeOutStart, e.routeOut = ct.routeOutStart, ct.routeOut
 }
 
 // allocState allocates the replica's private per-node/per-coupler state
@@ -365,8 +369,10 @@ func (e *replica) enqueue(node int, msg qmsg) {
 const staleHead = -2
 
 // deferHeadsMinEntries is the route-table size from which head lookups are
-// deferred (deferHeads): 2 MiB of route entries (n ≥ 512), past a typical
-// L2 cache. A variable only so the differential tests can lower it.
+// deferred (deferHeads): 2^18 entries, 1 MiB of 4-byte route entries
+// (n ≥ 512), about a typical L2 cache. The threshold is counted in entries,
+// not bytes, so deBruijn(2,9) still defers on its own. A variable only so
+// the differential tests can lower it.
 var deferHeadsMinEntries = 1 << 18
 
 // markHead records that node's head-of-line message is now one bound for
@@ -385,15 +391,19 @@ func (e *replica) markHead(node int, dst int32) {
 }
 
 // resolveHead sets node's head-of-line request, for a message bound for
-// dst, from the route table.
+// dst, from the route table, looking the entry's coupler index up in the
+// decode CSR.
 func (e *replica) resolveHead(node int, dst int32) {
 	r := e.route[node*e.n+int(dst)]
-	if r.c < 0 {
+	if r == NoRoute {
 		e.headReq[node] = txRequest{node: int32(node), coupler: -1}
 		return
 	}
 	e.headReq[node] = txRequest{
-		node: int32(node), coupler: r.c &^ deliverFlag, nextHop: r.h, delivers: r.c&deliverFlag != 0,
+		node:     int32(node),
+		coupler:  e.routeOut[e.routeOutStart[node]+int32(r&routeOutMask)],
+		nextHop:  int32(r >> routeOutBits & routeHopMask),
+		delivers: r&deliverBit != 0,
 	}
 }
 
@@ -765,7 +775,7 @@ func (e *replica) deflectTarget(c, dst int) (bestHop int32, delivers bool) {
 		if int(h) == dst {
 			delivers = true
 		}
-		if d := e.dist[h][dst]; d >= 0 && d < bestDist {
+		if d := int(e.dist[h][dst]); d >= 0 && d < bestDist {
 			bestDist = d
 			bestHop = h
 		}
@@ -857,7 +867,7 @@ func (e *replica) applyTopologyChange(ch TopologyChange) {
 					continue
 				}
 				disrupted = true
-				if e.route[u*e.n+dst].c >= 0 {
+				if e.route[u*e.n+dst] != NoRoute {
 					e.metrics.Reroutes++
 				}
 			}

@@ -37,15 +37,22 @@ type Topology interface {
 	Distance(u, dst int) int
 }
 
+// MaxNodes is the largest node count a simulated topology may have. The
+// all-pairs tables keep int16 distances, and every distance in an N-node
+// topology is at most N-1, so any N ≤ 32768 fits.
+const MaxNodes = 1 << 15
+
 // tableTopology is a network whose all-pairs tables are precomputed at
 // construction, so NextCoupler and Distance are O(1) lookups on the
 // simulation hot path. Stack-graphs (multi-OPS networks) and point-to-point
 // digraphs (every arc its own degree-1 coupler) share it: both reduce to
-// out-coupler lists, head lists and one table builder (newTableTopology).
+// out-coupler lists, head lists and one table builder (allPairsTables).
+// The tables take 6 bytes per (u, dst) pair: a 2-byte distance and a
+// 4-byte route entry naming the coupler by its index in out[u].
 type tableTopology struct {
 	out   [][]int      // node -> couplers it transmits on, in topology order
 	heads [][]int      // coupler -> listening nodes, in topology order
-	dist  [][]int      // dist[u][v], row views of one flat array
+	dist  [][]int16    // dist[u][v], row views of one flat array
 	route []RouteEntry // row-major (u, dst) routing decisions, lent to the engine
 }
 
@@ -87,9 +94,16 @@ func NewPointToPointTopology(g *digraph.Digraph) Topology {
 }
 
 func newTableTopology(out, heads [][]int) *tableTopology {
+	if len(out) > MaxNodes {
+		panic(fmt.Sprintf("sim: %d nodes exceed the table limit of %d", len(out), MaxNodes))
+	}
+	for u, cs := range out {
+		if len(cs) > MaxRouteOut {
+			panic(fmt.Sprintf("sim: node %d has %d out-couplers, more than a route entry indexes (%d)", u, len(cs), MaxRouteOut))
+		}
+	}
 	t := &tableTopology{out: out, heads: heads}
-	t.dist = allPairsDistances(out, heads)
-	t.route = buildRoutes(out, heads, t.dist)
+	t.dist, t.route = allPairsTables(out, heads)
 	return t
 }
 
@@ -97,60 +111,77 @@ func (t *tableTopology) Nodes() int              { return len(t.out) }
 func (t *tableTopology) Couplers() int           { return len(t.heads) }
 func (t *tableTopology) OutCouplers(u int) []int { return t.out[u] }
 func (t *tableTopology) Heads(c int) []int       { return t.heads[c] }
-func (t *tableTopology) Distance(u, dst int) int { return t.dist[u][dst] }
+func (t *tableTopology) Distance(u, dst int) int { return int(t.dist[u][dst]) }
 
 // RouteTable lends the engine the flat route table (RouteTabled).
 func (t *tableTopology) RouteTable() []RouteEntry { return t.route }
 
 // DistanceRows lends the engine the per-source distance rows
 // (DistanceRowed).
-func (t *tableTopology) DistanceRows() [][]int { return t.dist }
+func (t *tableTopology) DistanceRows() [][]int16 { return t.dist }
 
 func (t *tableTopology) NextCoupler(u, dst int) (int, int) {
-	r := t.route[u*len(t.out)+dst]
-	return r.Coupler(), r.NextHop()
+	return t.route[u*len(t.out)+dst].Decode(u, dst, t.out[u])
 }
 
-// allPairsDistances returns dist[u][v], the hop distance from u to v
-// through couplers (digraph.Unreachable when there is no path), as row
-// views of one flat array. It runs every BFS at once, bit-parallel: R_k[s],
-// the set of nodes within k hops of s, is an n-bit row, and
-// R_{k+1}[s] = R_k[s] ∪ ⋃_{w ∈ succ(s)} R_k[w]. The bits new in R_{k+1}[s]
-// are exactly the nodes at distance k+1. A level costs O(arcs · n/64) word
-// operations, the whole table O(diameter · arcs · n/64) plus one write per
-// reachable pair.
-func allPairsDistances(out, heads [][]int) [][]int {
+// allPairsTables builds both all-pairs tables in one bit-parallel BFS from
+// every source at once. R_k[s], the set of nodes within k hops of s, is an
+// n-bit row, and R_k[s] = R_{k-1}[s] ∪ ⋃ R_{k-1}[h] over s's (coupler,
+// head) candidates (c, h). Level k walks s's candidates in topology order
+// and ORs each R_{k-1}[h] into s's row: a bit new to the row is a node dst
+// at distance k, and the candidate that brought it is s's route to dst.
+// That candidate is the first whose head h is one hop closer to dst:
+// dst ∈ R_{k-1}[h] says dist(h, dst) ≤ k-1, and no successor of s is more
+// than one hop closer than s. The first candidate one hop closer is both
+// the stack-graph scan's choice (the strictly closest head, first on ties)
+// and the point-to-point scan's (the first strictly closer arc). It
+// delivers exactly at level 1, where R_0[h] = {h} makes dst the head
+// itself. A level costs O(candidates · n/64) word operations plus one
+// write per newly reached pair.
+//
+// Both tables are allocated zeroed and written only where a pair is
+// reached, so a pair's first touch is its final value. The self entries
+// (distance 0, NoRoute) and unreachable pairs (digraph.Unreachable,
+// NoRoute) are filled at the end from the final reach rows.
+func allPairsTables(out, heads [][]int) ([][]int16, []RouteEntry) {
 	n := len(out)
-	succ := successors(out, heads)
 	w := (n + 63) / 64
-	cur := make([]uint64, n*w)
-	next := make([]uint64, n*w)
-	flat := make([]int, n*n)
-	for i := range flat {
-		flat[i] = digraph.Unreachable
-	}
+	cur := make([]uint64, n*w)  // R_{k-1}
+	next := make([]uint64, n*w) // R_k
+	flat := make([]int16, n*n)
+	route := make([]RouteEntry, n*n)
 	for s := 0; s < n; s++ {
 		cur[s*w+s>>6] |= 1 << (s & 63)
-		flat[s*n+s] = 0
 	}
 	for k := 1; ; k++ {
 		grew := false
+		var deliver RouteEntry
+		if k == 1 {
+			deliver = deliverBit
+		}
 		for s := 0; s < n; s++ {
-			prev := cur[s*w : (s+1)*w]
 			row := next[s*w : (s+1)*w]
-			copy(row, prev)
-			for _, v := range succ[s] {
-				src := cur[v*w : (v+1)*w]
-				src = src[:len(row)]
-				for i := range row {
-					row[i] |= src[i]
-				}
-			}
+			copy(row, cur[s*w:(s+1)*w])
 			drow := flat[s*n : (s+1)*n]
-			for i, word := range row {
-				for fresh := word &^ prev[i]; fresh != 0; fresh &= fresh - 1 {
-					drow[i<<6+bits.TrailingZeros64(fresh)] = k
-					grew = true
+			rrow := route[s*n : (s+1)*n]
+			for oi, c := range out[s] {
+				for _, h := range heads[c] {
+					src := cur[h*w : (h+1)*w]
+					src = src[:len(row)]
+					entry := RouteEntry(oi) | RouteEntry(h)<<routeOutBits | deliver
+					for i, word := range src {
+						fresh := word &^ row[i]
+						if fresh == 0 {
+							continue
+						}
+						row[i] |= fresh
+						grew = true
+						for ; fresh != 0; fresh &= fresh - 1 {
+							dst := i<<6 + bits.TrailingZeros64(fresh)
+							drow[dst] = int16(k)
+							rrow[dst] = entry
+						}
+					}
 				}
 			}
 		}
@@ -159,73 +190,25 @@ func allPairsDistances(out, heads [][]int) [][]int {
 		}
 		cur, next = next, cur
 	}
-	dist := make([][]int, n)
+	for s := 0; s < n; s++ {
+		route[s*n+s] = NoRoute
+		for i, word := range cur[s*w : (s+1)*w] {
+			missing := ^word
+			if tail := n - i<<6; tail < 64 {
+				missing &= 1<<tail - 1
+			}
+			for ; missing != 0; missing &= missing - 1 {
+				dst := s*n + i<<6 + bits.TrailingZeros64(missing)
+				flat[dst] = digraph.Unreachable
+				route[dst] = NoRoute
+			}
+		}
+	}
+	dist := make([][]int16, n)
 	for u := range dist {
 		dist[u] = flat[u*n : (u+1)*n : (u+1)*n]
 	}
-	return dist
-}
-
-// successors lists, per node, the distinct nodes one hop away: the heads
-// of its out-couplers.
-func successors(out, heads [][]int) [][]int {
-	succ := make([][]int, len(out))
-	seen := make([]int, len(out)) // seen[v] == u+1: v already listed for u
-	for u, cs := range out {
-		for _, c := range cs {
-			for _, h := range heads[c] {
-				if seen[h] != u+1 {
-					seen[h] = u + 1
-					succ[u] = append(succ[u], h)
-				}
-			}
-		}
-	}
-	return succ
-}
-
-// buildRoutes fills the row-major route table from the distances, one
-// source row at a time: u's (coupler, head) candidates are walked in
-// topology order with dst as the inner loop over dist[h], and each dst
-// takes the first candidate one hop closer to it than u. On BFS distances
-// no head is more than one hop closer, so that is exactly the per-pair
-// scan's choice under either tie-break — the strictly closest head, first
-// on ties (stack-graphs), and the first strictly closer arc
-// (point-to-point). The delivers-here bit is nextHop == dst: only dst
-// itself is at distance 0.
-func buildRoutes(out, heads [][]int, dist [][]int) []RouteEntry {
-	n := len(out)
-	route := make([]RouteEntry, n*n)
-	// want[dst] is the distance a candidate head must have to route dst:
-	// dist[u][dst]-1 while dst is unrouted, unmatchable once it is routed,
-	// for dst == u, or when dst is unreachable from u.
-	const unmatchable = digraph.Unreachable - 1
-	want := make([]int, n)
-	for u := 0; u < n; u++ {
-		row := route[u*n : (u+1)*n]
-		du := dist[u]
-		for dst, d := range du {
-			row[dst] = RouteEntry{c: -1, h: -1}
-			want[dst] = d - 1
-			if d == digraph.Unreachable {
-				want[dst] = unmatchable
-			}
-		}
-		row[u] = RouteEntry{c: -1, h: int32(u)}
-		want[u] = unmatchable
-		for _, c := range out[u] {
-			for _, h := range heads[c] {
-				dh := dist[h][:n]
-				for dst, d := range dh {
-					if d == want[dst] {
-						row[dst] = MakeRouteEntry(c, h, h == dst)
-						want[dst] = unmatchable
-					}
-				}
-			}
-		}
-	}
-	return route
+	return dist, route
 }
 
 // CheckTopology validates basic sanity: every node has at least one out
@@ -235,26 +218,24 @@ func CheckTopology(t Topology) error {
 	n := t.Nodes()
 	// Topologies that lend their distance rows are checked row by row;
 	// others are queried once per pair.
-	var rows [][]int
-	var row []int
+	var rows [][]int16
 	if dr, ok := t.(DistanceRowed); ok {
 		rows = dr.DistanceRows()
-	} else {
-		row = make([]int, n)
 	}
 	for u := 0; u < n; u++ {
 		if len(t.OutCouplers(u)) == 0 {
 			return fmt.Errorf("sim: node %d cannot transmit", u)
 		}
 		if rows != nil {
-			row = rows[u]
-		} else {
-			for v := range row {
-				row[v] = t.Distance(u, v)
+			for v, d := range rows[u] {
+				if d == digraph.Unreachable && v != u {
+					return fmt.Errorf("sim: node %d cannot reach %d", u, v)
+				}
 			}
+			continue
 		}
-		for v, d := range row {
-			if d == digraph.Unreachable && v != u {
+		for v := 0; v < n; v++ {
+			if t.Distance(u, v) == digraph.Unreachable && v != u {
 				return fmt.Errorf("sim: node %d cannot reach %d", u, v)
 			}
 		}

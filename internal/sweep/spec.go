@@ -65,6 +65,12 @@ func (ts TopoSpec) Build() (Topology, error) {
 	if ts.T < 1 || ts.G < 1 || ts.S < 1 || ts.D < 1 || ts.K < 1 || ts.N < 1 {
 		return Topology{}, fmt.Errorf("sweep: topology spec %+v has a non-positive parameter", ts)
 	}
+	if n := ts.nodes(); n > sim.MaxNodes {
+		return Topology{}, fmt.Errorf("sweep: %s topology has %s nodes, over the limit of %d", ts.Net, nodeCount(n), sim.MaxNodes)
+	}
+	if ts.Net == "stackii" && ts.D >= sim.MaxRouteOut {
+		return Topology{}, fmt.Errorf("sweep: stackii degree %d gives %d out-couplers per node, over the limit of %d", ts.D, ts.D+1, sim.MaxRouteOut)
+	}
 	switch ts.Net {
 	case "sk":
 		nw := stackkautz.New(ts.S, ts.D, ts.K)
@@ -96,4 +102,46 @@ func (ts TopoSpec) Build() (Topology, error) {
 	default:
 		return Topology{}, fmt.Errorf("sweep: unknown topology family %q (want sk, stackii, pops or debruijn)", ts.Net)
 	}
+}
+
+// nodeCap is where nodes saturates: far past sim.MaxNodes, and small
+// enough that no product on the way overflows.
+const nodeCap = 1 << 62
+
+// nodes returns the node count of the spec's network, computed from its
+// parameters without building it. Products saturate at nodeCap, so any
+// parameters are safe; unknown families count 0.
+func (ts TopoSpec) nodes() int {
+	mul := func(a, b int) int {
+		if a > nodeCap/b {
+			return nodeCap
+		}
+		return a * b
+	}
+	pow := func(d, k int) int {
+		p := 1
+		for i := 0; i < k && p < nodeCap && d > 1; i++ {
+			p = mul(p, d)
+		}
+		return p
+	}
+	switch ts.Net {
+	case "sk": // s·(d+1)·d^(k-1): s nodes per vertex of Kautz KG(d,k)
+		return mul(ts.S, mul(min(ts.D+1, nodeCap), pow(ts.D, ts.K-1)))
+	case "stackii":
+		return mul(ts.S, ts.N)
+	case "pops":
+		return mul(ts.T, ts.G)
+	case "debruijn":
+		return pow(ts.D, ts.K)
+	}
+	return 0
+}
+
+// nodeCount renders a count from nodes, marking a saturated one.
+func nodeCount(n int) string {
+	if n == nodeCap {
+		return fmt.Sprintf("N>=%d", n)
+	}
+	return fmt.Sprintf("N=%d", n)
 }

@@ -283,6 +283,28 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedTopologyRejected: a topology past sim.MaxNodes is a 400
+// naming N and the limit, answered before any table is allocated.
+func TestOversizedTopologyRejected(t *testing.T) {
+	ts := newTestServer(t)
+	body := `{"topologies":[{"net":"debruijn","d":2,"k":16}]}`
+	resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, msg)
+	}
+	if !strings.Contains(string(msg), "N=65536") || !strings.Contains(string(msg), "32768") {
+		t.Fatalf("error %q does not name N=65536 and the limit 32768", msg)
+	}
+}
+
 func TestListJobs(t *testing.T) {
 	ts := newTestServer(t)
 	spec := testSpec()
