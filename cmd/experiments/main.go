@@ -289,7 +289,7 @@ func t7() string {
 	for _, rate := range []float64{0.05, 0.2, 0.5} {
 		for _, c := range cands {
 			points = append(points, sweep.Scenario{
-				Topology: c, TrafficName: "uniform", Rate: rate, Seed: 42,
+				Topology: c, Rate: rate, Seed: 42,
 				Slots: 2000, Drain: 4000,
 			})
 			labels = append(labels, c.Name)
@@ -297,16 +297,16 @@ func t7() string {
 	}
 	for _, c := range cands {
 		points = append(points, sweep.Scenario{
-			Topology: c, TrafficName: "hotspot", Rate: 0.2, Seed: 42,
-			Traffic: sim.HotspotTraffic{Rate: 0.2, Hot: 0, Fraction: 0.3},
-			Slots:   2000, Drain: 6000,
+			Topology: c, Rate: 0.2, Seed: 42,
+			Workload: workload.Spec{Kind: workload.KindHotspot, HotGroup: 0, Fraction: 0.3},
+			Slots:    2000, Drain: 6000,
 		})
 		labels = append(labels, c.Name)
 	}
 	// Deflection ablation on SK: rows carry the routing mode.
 	for _, mode := range []sweep.Mode{sweep.StoreAndForward, sweep.Deflection} {
 		points = append(points, sweep.Scenario{
-			Topology: cands[0], TrafficName: "uniform", Rate: 0.5, Seed: 42,
+			Topology: cands[0], Rate: 0.5, Seed: 42,
 			Mode: mode, Slots: 2000, Drain: 4000,
 		})
 		labels = append(labels, fmt.Sprintf("%s %s", cands[0].Name, mode))
@@ -315,7 +315,7 @@ func t7() string {
 	for i, r := range results {
 		s, m := r.Scenario, r.Metrics
 		fmt.Fprintf(&b, "| %s | %s | %.2f | %.3f | %.2f | %.2f | %.4f |\n",
-			labels[i], s.TrafficName, s.Rate, m.Throughput(), m.AvgLatency(), m.AvgHops(),
+			labels[i], s.Workload.Label(), s.Rate, m.Throughput(), m.AvgLatency(), m.AvgHops(),
 			m.Throughput()/float64(s.Topology.Topo.Nodes()))
 	}
 	return b.String()

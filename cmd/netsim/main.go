@@ -8,7 +8,7 @@
 // One scenario at a time:
 //
 //	go run ./cmd/netsim -net sk -s 6 -d 3 -k 2 -rate 0.3 -slots 2000
-//	go run ./cmd/netsim -net pops -t 9 -g 8 -traffic hotspot -rate 0.2
+//	go run ./cmd/netsim -net pops -t 9 -g 8 -workload hotspot -rate 0.2
 //	go run ./cmd/netsim -net debruijn -d 3 -k 4 -deflect
 //
 // Or a parallel scenario sweep (rates x seeds x modes fanned across a
@@ -126,14 +126,12 @@ func main() {
 		d        = flag.Int("d", 3, "degree d")
 		k        = flag.Int("k", 2, "diameter k")
 		n        = flag.Int("n", 12, "stack-Imase-Itoh group count n")
-		traffic  = flag.String("traffic", "uniform", `traffic: "uniform", "perm", "hotspot" or "burst"`)
-		rate     = flag.Float64("rate", 0.2, "per-node injection probability per slot")
+		rateF    = flag.String("rate", "0.2", "per-node injection probability per slot, in [0,1]")
 		slots    = flag.Int("slots", 2000, "traffic slots")
 		drain    = flag.Int("drain", 2000, "extra drain slots")
 		seed     = flag.Int64("seed", 1, "random seed")
 		deflect  = flag.Bool("deflect", false, "hot-potato deflection instead of store-and-forward")
 		maxQ     = flag.Int("maxq", 0, "per-node queue cap (0 = unbounded)")
-		burst    = flag.Int("burst", 500, "messages for burst traffic")
 		waves    = flag.Int("wavelengths", 1, "wavelengths per coupler (WDM extension)")
 		saturate = flag.Bool("saturate", false, "binary-search the saturation rate instead of one run")
 		repeat   = flag.Int("repeat", 1, "repeat the scenario with seeds seed..seed+repeat-1 on one reused engine; reports mean/stddev and engine speed")
@@ -189,10 +187,7 @@ func main() {
 		EpisodeOn: *episodeOn, EpisodeOff: *episodeOff, RateSigma: *rateSigma,
 		Explicit: explicit,
 	}
-	if explicit["traffic"] && explicit["workload"] {
-		fmt.Fprintln(os.Stderr, "netsim: -traffic (legacy) conflicts with -workload; use one")
-		os.Exit(2)
-	}
+	rate := parseRate(*rateF)
 	if explicit["tracesample"] && !explicit["trace"] {
 		fmt.Fprintln(os.Stderr, "netsim: -tracesample only applies with -trace")
 		os.Exit(2)
@@ -221,11 +216,22 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	if *saturate {
+		// Both modes search uniform load at rates the search picks, and
+		// each probe drains for -slots slots.
+		for _, f := range []string{"rate", "drain", "workload"} {
+			if explicit[f] {
+				fmt.Fprintf(os.Stderr, "netsim: -%s does not apply to -saturate (the search runs uniform load at rates it picks, draining each probe for -slots slots)\n", f)
+				os.Exit(2)
+			}
+		}
+	}
 
 	if *doSweep {
 		// Map explicitly set single-run flags into the grid so adding
 		// -sweep to an existing command line never silently drops them;
-		// setting both a legacy flag and its sweep counterpart is an error.
+		// setting both a single-run flag and its sweep counterpart is an
+		// error.
 		if strings.Contains(*workloadF, "collective") {
 			fmt.Fprintln(os.Stderr, "netsim: the collective workload replays a schedule and is not sweepable; drop -sweep")
 			os.Exit(2)
@@ -282,12 +288,6 @@ func main() {
 					os.Exit(2)
 				}
 			}
-			// Saturation search binary-searches uniform offered load; a
-			// workload axis does not apply either.
-			if explicit["workload"] {
-				fmt.Fprintln(os.Stderr, "netsim: -workload is not supported with -sweep -saturate (the search runs uniform load)")
-				os.Exit(2)
-			}
 		}
 		if *raw && explicit["format"] && *format == "table" {
 			fmt.Fprintln(os.Stderr, "netsim: -raw emits machine-readable output; use -format csv or json")
@@ -295,10 +295,8 @@ func main() {
 		}
 		o := sweepOpts{
 			net: *net, t: *t, g: *g, s: *s, d: *d, k: *k, n: *n,
-			traffic: *traffic, trafficSet: explicit["traffic"],
 			workloads: *workloadF, wf: wf,
 			rateExplicit: explicit["rate"] || explicit["rates"],
-			burst:        *burst,
 			rates:        *rateList, seeds: *seeds, modes: *modes,
 			waves: *waveList, slots: *slots, drain: *drain, maxQ: *maxQ,
 			seed: *seed, workers: *workers, replicas: parseReplicas(*replicas), format: *format, raw: *raw,
@@ -308,7 +306,7 @@ func main() {
 			cacheDir: *cacheDir, shards: *shards, shard: *shardIdx, merge: *mergeF,
 		}
 		if explicit["rate"] {
-			o.rates = fmt.Sprintf("%g", *rate)
+			o.rates = *rateF
 		}
 		if explicit["faults"] {
 			o.faultSet = fmt.Sprintf("%d", *faultN)
@@ -326,13 +324,6 @@ func main() {
 		return
 	}
 
-	if *saturate && explicit["workload"] {
-		// SaturationSearch binary-searches uniform offered load; reject the
-		// combination instead of reporting a misattributed rate (the sweep
-		// path rejects it the same way).
-		fmt.Fprintln(os.Stderr, "netsim: -workload is not supported with -saturate (the search runs uniform load)")
-		os.Exit(2)
-	}
 	if *workloadF == "collective" {
 		// The replay runs the canonical single-wavelength store-and-forward
 		// engine on the fault-free topology; reject flags it would silently
@@ -359,58 +350,52 @@ func main() {
 		desc += " faults=" + spec.Label()
 	}
 
+	wspecs, err := wf.specs(*workloadF)
+	if err == nil && len(wspecs) != 1 {
+		err = fmt.Errorf("one workload per single run (add -sweep to sweep a comma list)")
+	}
+	var force bool
+	if err == nil {
+		force, err = traceRateOverride(wspecs, explicit["rate"])
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
+		os.Exit(2)
+	}
+	if force {
+		rate = 1 // traces replay/scale as recorded unless -rate says otherwise
+	}
+	wspec := wspecs[0]
 	// newTraffic builds a fresh generator per run: bursty, trace and other
 	// stateful workloads must not carry state from one repetition into the
 	// next.
-	trafficName := *traffic
-	var newTraffic func() sim.Traffic
-	if explicit["traffic"] {
-		// Legacy single-run traffic models, kept for script compatibility;
-		// -workload is the richer replacement.
-		factory, err := legacyTraffic(*traffic, topo.Nodes(), *seed, *burst, wf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
-			os.Exit(2)
-		}
-		newTraffic = func() sim.Traffic { return factory(*rate) }
-	} else {
-		wspecs, err := wf.specs(*workloadF)
-		if err == nil && len(wspecs) != 1 {
-			err = fmt.Errorf("one workload per single run (add -sweep to sweep a comma list)")
-		}
-		var force bool
-		if err == nil {
-			force, err = traceRateOverride(wspecs, explicit["rate"])
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
-			os.Exit(2)
-		}
-		if force {
-			*rate = 1 // traces replay/scale as recorded unless -rate says otherwise
-		}
-		wspec := wspecs[0]
-		newTraffic = func() sim.Traffic { return wspec.New(*rate, topo.Nodes(), groupSize) }
-		trafficName = wspec.Label()
-	}
+	newTraffic := func() sim.Traffic { return wspec.New(rate, topo.Nodes(), groupSize) }
 
-	cfg := sim.Config{Seed: *seed, MaxQueue: *maxQ, Deflection: *deflect, Wavelengths: *waves}
+	mode := sweep.StoreAndForward
+	if *deflect {
+		mode = sweep.Deflection
+	}
 	if *saturate {
 		if explicit["repeat"] {
 			fmt.Fprintln(os.Stderr, "netsim: -repeat does not apply to -saturate (the search already reuses one engine)")
 			os.Exit(2)
 		}
-		rate := sim.SaturationSearch(topo, *slots, 0.95, cfg)
+		// The same search as -sweep -saturate, on a one-point grid over the
+		// (possibly fault-wrapped) topology.
+		grid := sweep.Grid{
+			Topologies:  []sweep.Topology{{Name: desc, Topo: topo, GroupSize: groupSize}},
+			Modes:       []sweep.Mode{mode},
+			Wavelengths: []int{*waves},
+			MaxQueue:    *maxQ,
+		}
+		pt := sweep.Runner{}.Saturate(grid, *slots, 0.95, *seed)[0]
 		fmt.Printf("%s: saturation rate ≈ %.4f msgs/node/slot (95%% delivery, %d-slot runs, w=%d)\n",
-			desc, rate, *slots, *waves)
+			desc, pt.Rate, *slots, *waves)
 		return
 	}
-	mode := "store-and-forward"
-	if *deflect {
-		mode = "hot-potato"
-	}
+	cfg := sim.Config{Seed: *seed, MaxQueue: *maxQ, Deflection: *deflect, Wavelengths: *waves}
 	if *repeat > 1 {
-		runRepeated(topo, desc, trafficName, mode, newTraffic, cfg, *seed, *repeat, *slots, *drain, *rate)
+		runRepeated(topo, desc, wspec.Label(), mode, newTraffic, cfg, *seed, *repeat, *slots, *drain, rate)
 		return
 	}
 	// sim.Run is NewEngine+Run; building the engine here lets -trace attach
@@ -430,7 +415,7 @@ func main() {
 		must(tr.Err())
 		slog.Info("trace written", "file", *traceF, "events", events, "sample", *traceSample)
 	}
-	fmt.Printf("%s  traffic=%s rate=%.2f mode=%s\n", desc, trafficName, *rate, mode)
+	fmt.Printf("%s  traffic=%s rate=%.2f mode=%s\n", desc, wspec.Label(), rate, mode)
 	fmt.Println(m)
 	fmt.Printf("per-node throughput: %.4f msgs/slot/node\n", m.Throughput()/float64(topo.Nodes()))
 }
@@ -438,7 +423,7 @@ func main() {
 // runRepeated executes the scenario `repeat` times with consecutive seeds
 // on one reused engine (compiled once, Reset per run), reporting per-seed
 // mean/stddev of the headline metrics and the engine's simulation speed.
-func runRepeated(topo sim.Topology, desc, trafficName, mode string, newTraffic func() sim.Traffic,
+func runRepeated(topo sim.Topology, desc, trafficName string, mode sweep.Mode, newTraffic func() sim.Traffic,
 	cfg sim.Config, seed int64, repeat, slots, drain int, rate float64) {
 	e := sim.NewEngine(topo, cfg)
 	start := time.Now()
@@ -551,12 +536,9 @@ func buildTopology(net string, t, g, s, d, k, n int) (sim.Topology, string, int)
 type sweepOpts struct {
 	net                 string
 	t, g, s, d, k, n    int
-	traffic             string
-	trafficSet          bool // -traffic was explicit: legacy factory path
 	workloads           string
 	wf                  workloadFlags
 	rateExplicit        bool // -rate/-rates was explicit (trace-axis rules)
-	burst               int  // legacy -traffic burst message count
 	rates, modes, waves string
 	seeds               int
 	seedList            []int64 // non-nil overrides seeds (explicit -seed)
@@ -591,49 +573,17 @@ func runSweep(o sweepOpts) {
 		topo, desc, groupSize := buildTopology(o.net, o.t, o.g, o.s, o.d, o.k, o.n)
 		topos = []sweep.Topology{{Name: desc, Topo: topo, GroupSize: groupSize}}
 	}
-	var factory sweep.TrafficFactory
-	trafficName := ""
-	if o.trafficSet {
-		// Legacy -traffic factory path, kept for script compatibility. Only
-		// the stateless models sweep (perm pins one permutation per seed and
-		// burst ignores rate; both would mislabel grid points).
-		switch o.traffic {
-		case "uniform", "hotspot":
-		default:
-			fmt.Fprintf(os.Stderr, "netsim: traffic %q is not sweepable (want uniform or hotspot, or use -workload)\n", o.traffic)
-			os.Exit(2)
-		}
-		minNodes := topos[0].Topo.Nodes()
-		for _, tp := range topos[1:] {
-			if n := tp.Topo.Nodes(); n < minNodes {
-				minNodes = n
-			}
-		}
-		f, err := legacyTraffic(o.traffic, minNodes, o.seed, o.burst, o.wf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
-			os.Exit(2)
-		}
-		if o.traffic != "uniform" {
-			factory = f // uniform is the grid default; leave factory nil
-		}
-		trafficName = o.traffic
+	wspecs, err := o.wf.specs(o.workloads)
+	var force bool
+	if err == nil {
+		force, err = traceRateOverride(wspecs, o.rateExplicit)
 	}
-	var wspecs []workload.Spec
-	if !o.trafficSet {
-		ws, err := o.wf.specs(o.workloads)
-		var force bool
-		if err == nil {
-			force, err = traceRateOverride(ws, o.rateExplicit)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
-			os.Exit(2)
-		}
-		if force {
-			o.rates = "1" // traces replay/scale as recorded unless -rates says otherwise
-		}
-		wspecs = ws
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
+		os.Exit(2)
+	}
+	if force {
+		o.rates = "1" // traces replay/scale as recorded unless -rates says otherwise
 	}
 	for _, tp := range topos {
 		if err := sim.CheckTopology(tp.Topo); err != nil {
@@ -661,15 +611,13 @@ func runSweep(o sweepOpts) {
 	}
 	grid := sweep.Grid{
 		Topologies:  topos,
-		Rates:       parseFloats(o.rates),
+		Rates:       parseRates(o.rates),
 		Seeds:       seedAxis,
 		Modes:       parseModes(o.modes),
 		Wavelengths: parseInts(o.waves),
 		MaxQueue:    o.maxQ,
 		Slots:       o.slots,
 		Drain:       o.drain,
-		Traffic:     factory,
-		TrafficName: trafficName,
 		Faults:      fspecs,
 		Workloads:   wspecs,
 	}
@@ -931,7 +879,7 @@ func printCurveTable(curve []sweep.CurvePoint) {
 		if !p.Fault.IsZero() {
 			withFaults = true
 		}
-		if p.TrafficName != "uniform" {
+		if p.Workload.Label() != "uniform" {
 			withTraffic = true
 		}
 	}
@@ -947,7 +895,7 @@ func printCurveTable(curve []sweep.CurvePoint) {
 		"topology", "rate", "mode", "w", "thr/slot (±std)", "latency (±std)", "hops", "del%")
 	for _, p := range curve {
 		fmt.Printf("%-16s"+trafficCol+" %-6.3g %-18s %4d"+faultCol+"  %8.3f ±%-8.3f %8.2f ±%-6.2f %-10.2f %-8.1f\n",
-			p.Topology, p.TrafficName, p.Rate, p.Mode, p.Wavelengths, p.Fault.Label(),
+			p.Topology, p.Workload.Label(), p.Rate, p.Mode, p.Wavelengths, p.Fault.Label(),
 			p.Throughput.Mean, p.Throughput.Std,
 			p.Latency.Mean, p.Latency.Std,
 			p.Hops.Mean, 100*p.DeliveredFrac.Mean)
@@ -972,19 +920,23 @@ func parseReplicas(s string) int {
 	return r
 }
 
-func parseFloats(s string) []float64 {
+// parseRate parses one offered load, a per-node injection probability;
+// -rate and every -rates entry go through it.
+func parseRate(s string) float64 {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(v >= 0 && v <= 1) { // the negated form also rejects NaN
+		fmt.Fprintf(os.Stderr, "netsim: bad rate %q (want a probability in [0,1])\n", s)
+		os.Exit(2)
+	}
+	return v
+}
+
+func parseRates(s string) []float64 {
 	var out []float64
 	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, parseRate(f))
 		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || v < 0 || v > 1 {
-			fmt.Fprintf(os.Stderr, "netsim: bad rate %q (want a probability in [0,1])\n", f)
-			os.Exit(2)
-		}
-		out = append(out, v)
 	}
 	return out
 }

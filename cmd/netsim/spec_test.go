@@ -1,10 +1,10 @@
 package main
 
-// Tests for the extracted workload/traffic flag handling — every error
-// path the CLI used to bury in os.Exit, plus the two regressions this
-// layer exists to prevent: the legacy `-traffic hotspot` silently
-// discarding -hotgroup/-hotfrac, and a first-topology hotspot range check
-// contradicting workload.Hotspot's documented modulo-group wrap.
+// Tests for the extracted workload flag handling — every error path the
+// CLI used to bury in os.Exit, plus the regressions this layer exists to
+// prevent: explicit workload flags silently discarded, and a
+// first-topology hotspot range check contradicting workload.Hotspot's
+// documented modulo-group wrap.
 
 import (
 	"os"
@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"otisnet/internal/sim"
 	"otisnet/internal/workload"
 )
 
@@ -64,7 +63,6 @@ func TestWorkloadSpecErrors(t *testing.T) {
 		{"hotgroup unhonored", flags("hotgroup"), "uniform,bursty", "-hotgroup"},
 		{"tracefile unhonored", flags("tracefile"), "hotspot", "-tracefile"},
 		{"period unhonored", flags("period"), "bursty", "-period"},
-		{"burst is legacy-only", flags("burst"), "bursty", "-traffic burst"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -133,64 +131,5 @@ func TestTraceRateOverride(t *testing.T) {
 	}
 	if force, err := traceRateOverride([]workload.Spec{uniform}, false); err != nil || force {
 		t.Fatalf("no trace: force=%v err=%v, want untouched axis", force, err)
-	}
-}
-
-// TestLegacyHotspotFlagsWired is the satellite-1 regression: `-traffic
-// hotspot` once constructed HotspotTraffic{Hot: 0, Fraction: 0.3} no
-// matter what the user passed. The factory must carry both flags.
-func TestLegacyHotspotFlagsWired(t *testing.T) {
-	wf := flags("hotgroup", "hotfrac")
-	wf.HotGroup = 5
-	wf.HotFrac = 0.8
-	factory, err := legacyTraffic("hotspot", 24, 1, 0, wf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := factory(0.4).(sim.HotspotTraffic)
-	if !ok {
-		t.Fatalf("hotspot factory built %T", factory(0.4))
-	}
-	want := sim.HotspotTraffic{Rate: 0.4, Hot: 5, Fraction: 0.8}
-	if got != want {
-		t.Fatalf("legacy hotspot dropped flags: got %+v, want %+v", got, want)
-	}
-}
-
-func TestLegacyTrafficErrors(t *testing.T) {
-	cases := []struct {
-		name    string
-		traffic string
-		n       int
-		wf      workloadFlags
-		want    string
-	}{
-		{"unknown model", "zipf", 24, flags(), "zipf"},
-		{"hot node past n", "hotspot", 24, func() workloadFlags { wf := flags(); wf.HotGroup = 24; return wf }(), "out of range"},
-		{"hot node negative", "hotspot", 24, func() workloadFlags { wf := flags(); wf.HotGroup = -1; return wf }(), "out of range"},
-		{"hotfrac oob", "hotspot", 24, func() workloadFlags { wf := flags(); wf.HotFrac = -0.1; return wf }(), "-hotfrac"},
-		// An explicit workload flag the model ignores is an error (the old
-		// code dropped these on the floor).
-		{"hotgroup on uniform", "uniform", 24, flags("hotgroup"), "-hotgroup does not apply"},
-		{"hotfrac on burst", "burst", 24, flags("hotfrac"), "-hotfrac does not apply"},
-		{"burst on hotspot", "hotspot", 24, flags("burst"), "-burst does not apply"},
-		{"tracefile on perm", "perm", 24, flags("tracefile"), "-tracefile does not apply"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := legacyTraffic(c.traffic, c.n, 1, 0, c.wf)
-			if err == nil {
-				t.Fatalf("legacyTraffic(%q) accepted %+v", c.traffic, c.wf)
-			}
-			if !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("error %q does not mention %q", err, c.want)
-			}
-		})
-	}
-	// And the in-range cases still build.
-	for _, model := range []string{"uniform", "perm", "burst"} {
-		if _, err := legacyTraffic(model, 24, 1, 4, flags()); err != nil {
-			t.Fatalf("legacyTraffic(%q): %v", model, err)
-		}
 	}
 }

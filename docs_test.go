@@ -99,12 +99,15 @@ func TestDocsTestNamesExist(t *testing.T) {
 	}
 }
 
-// TestDocsFlagsExist applies the same drift guard to README's flag
-// tables: every "| `-flag` |" row must name a flag some command under
-// cmd/ still defines (flag.Int("name", ...), fs.String("name", ...)).
+// TestDocsFlagsExist applies the same drift guard to flags. Every
+// "| `-flag` |" row of README's flag tables must name a flag some command
+// under cmd/ still defines (flag.Int("name", ...), fs.String("name",
+// ...)), and every -flag on a `go run ./cmd/netsim` command line in the
+// docs and in netsim's package comment must name a flag netsim defines.
 func TestDocsFlagsExist(t *testing.T) {
-	defined := map[string]bool{}
 	decl := regexp.MustCompile(`\b(?:flag|fs)\.[A-Z][A-Za-z0-9]*\("([A-Za-z0-9_-]+)"`)
+	defined := map[string]bool{}       // any command under cmd/
+	netsimDefined := map[string]bool{} // cmd/netsim alone
 	files, err := filepath.Glob(filepath.Join("cmd", "*", "*.go"))
 	if err != nil {
 		t.Fatal(err)
@@ -116,9 +119,12 @@ func TestDocsFlagsExist(t *testing.T) {
 		}
 		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
 			defined[m[1]] = true
+			if filepath.Dir(f) == filepath.Join("cmd", "netsim") {
+				netsimDefined[m[1]] = true
+			}
 		}
 	}
-	if len(defined) == 0 {
+	if len(defined) == 0 || len(netsimDefined) == 0 {
 		t.Fatal("no flags found under cmd/")
 	}
 	src, err := os.ReadFile("README.md")
@@ -134,6 +140,39 @@ func TestDocsFlagsExist(t *testing.T) {
 		if !defined[m[1]] {
 			t.Errorf("README.md documents -%s, which no command defines", m[1])
 		}
+	}
+
+	// Command lines: join backslash continuations, take the text after
+	// the netsim invocation up to any shell operator or comment, and check
+	// each -flag token in it.
+	const invocation = "go run ./cmd/netsim"
+	flagTok := regexp.MustCompile(`(?:^|\s)-([A-Za-z][A-Za-z0-9_-]*)`)
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", filepath.Join(".claude", "skills", "verify", "SKILL.md"), filepath.Join("cmd", "netsim", "main.go")} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+		text := regexp.MustCompile(`\\\n\s*(?://\s*)?`).ReplaceAllString(string(src), " ")
+		for _, line := range strings.Split(text, "\n") {
+			i := strings.Index(line, invocation)
+			if i < 0 {
+				continue
+			}
+			args := line[i+len(invocation):]
+			if j := strings.IndexAny(args, "|>&;#"); j >= 0 {
+				args = args[:j]
+			}
+			for _, m := range flagTok.FindAllStringSubmatch(args, -1) {
+				checked++
+				if !netsimDefined[m[1]] {
+					t.Errorf("%s runs netsim with -%s, which netsim does not define: %s", doc, m[1], strings.TrimSpace(line))
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no netsim command lines found in the docs")
 	}
 }
 

@@ -84,7 +84,7 @@ func FuzzBatchedVsSingleEngine(f *testing.F) {
 			specs[i] = sim.ReplicaSpec{
 				Topo:        topoBatch,
 				Config:      cfg,
-				Traffic:     fuzzTraffic(tsel[p], rate, n, pairSeed),
+				Traffic:     fuzzTraffic(tsel[p], rate, n),
 				Slots:       slots,
 				Drain:       drain,
 				StreamGroup: p,
@@ -97,7 +97,7 @@ func FuzzBatchedVsSingleEngine(f *testing.F) {
 			eng.OnDeliver = func(m sim.Message, slot int) {
 				solo[i] = append(solo[i], delivery{m.ID, m.Src, m.Dst, m.Hops, slot})
 			}
-			soloMetrics[i] = eng.Run(fuzzTraffic(tsel[p], rate, n, pairSeed), slots, drain, cfg)
+			soloMetrics[i] = eng.Run(fuzzTraffic(tsel[p], rate, n), slots, drain, cfg)
 		}
 
 		// Odd seeds batch the replicas with deferred head lookups.

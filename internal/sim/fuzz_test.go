@@ -29,6 +29,7 @@ import (
 	"otisnet/internal/pops"
 	"otisnet/internal/sim"
 	"otisnet/internal/stackkautz"
+	"otisnet/internal/workload"
 )
 
 // fuzzTopology maps three fuzz bytes onto a small instance of one of the
@@ -51,17 +52,19 @@ func fuzzTopology(sel, pa, pb uint8) (sim.Topology, string) {
 	}
 }
 
-// fuzzTraffic maps a fuzz byte onto one of the engine's traffic models.
-// The generator only produces the shared injection schedule — both engines
-// consume the identical schedule — so any model is fair game.
-func fuzzTraffic(sel uint8, rate float64, n int, seed int64) sim.Traffic {
+// fuzzTraffic maps a fuzz byte onto one traffic model: uniform, a group
+// hotspot, the OTIS transpose permutation (reversal, with no group
+// structure) or a slot-0 burst. The generator only produces the shared
+// injection schedule — both engines consume the identical schedule — so
+// any model is fair game.
+func fuzzTraffic(sel uint8, rate float64, n int) sim.Traffic {
 	switch sel % 4 {
 	case 0:
 		return sim.UniformTraffic{Rate: rate}
 	case 1:
-		return sim.HotspotTraffic{Rate: rate, Hot: 0, Fraction: 0.3}
+		return workload.Hotspot{Rate: rate, Group: 0, GroupSize: 0, Fraction: 0.3}
 	case 2:
-		return sim.NewPermutationTraffic(rate, n, rand.New(rand.NewSource(seed)))
+		return workload.NewTranspose(rate, n, 0)
 	default:
 		return sim.BurstTraffic{Messages: 50 + 10*n}
 	}
@@ -128,7 +131,7 @@ func FuzzCompiledVsLegacyEngine(f *testing.F) {
 		}
 
 		// One shared injection schedule drives both engines in lockstep.
-		tr := fuzzTraffic(trafficSel, rate, n, seed)
+		tr := fuzzTraffic(trafficSel, rate, n)
 		rng := rand.New(rand.NewSource(seed))
 		var buf []sim.Injection
 		for s := 0; s < slots; s++ {

@@ -217,49 +217,6 @@ func TestBurstDrains(t *testing.T) {
 	}
 }
 
-func TestPermutationTraffic(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	tr := NewPermutationTraffic(1.0, 10, rng)
-	inj := tr.Generate(nil, 0, 10, rng)
-	if len(inj) != 10 {
-		t.Fatalf("permutation injections = %d, want 10", len(inj))
-	}
-	for _, i := range inj {
-		if i.Src == i.Dst {
-			t.Fatal("permutation must not map a node to itself")
-		}
-	}
-}
-
-func TestPermutationTrafficWrongSizePanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	tr := NewPermutationTraffic(1.0, 5, rng)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("size mismatch should panic")
-		}
-	}()
-	tr.Generate(nil, 0, 10, rng)
-}
-
-func TestHotspotTraffic(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	tr := HotspotTraffic{Rate: 1.0, Hot: 0, Fraction: 1.0}
-	inj := tr.Generate(nil, 0, 10, rng)
-	hot := 0
-	for _, i := range inj {
-		if i.Src != 0 && i.Dst != 0 {
-			t.Fatal("with fraction 1 every foreign message targets the hot node")
-		}
-		if i.Dst == 0 {
-			hot++
-		}
-	}
-	if hot == 0 {
-		t.Fatal("no hotspot messages generated")
-	}
-}
-
 func TestMetricsAccessorsZero(t *testing.T) {
 	var m Metrics
 	if m.AvgLatency() != 0 || m.AvgHops() != 0 || m.Throughput() != 0 {

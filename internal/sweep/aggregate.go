@@ -38,7 +38,6 @@ func newStat(xs []float64) Stat {
 // seed axis, which aggregation collapses.
 type PointKey struct {
 	Topology    string
-	TrafficName string
 	Rate        float64
 	Mode        Mode
 	Wavelengths int
@@ -84,7 +83,6 @@ func Aggregate(results []Result) []CurvePoint {
 		s := res.Scenario
 		key := PointKey{
 			Topology:    s.Topology.Name,
-			TrafficName: s.TrafficName,
 			Rate:        s.Rate,
 			Mode:        s.Mode,
 			Wavelengths: s.Wavelengths,

@@ -6,9 +6,9 @@ package sweep
 // key exactly when the engine is guaranteed to produce identical metrics
 // for them: the key covers the topology *structure* (not its display
 // name), every engine parameter, the fault spec and the workload spec —
-// and nothing else. Display-only fields (Topology.Name, TrafficName) are
-// deliberately excluded: they label output rows but cannot change a single
-// simulated bit.
+// and nothing else. The display-only Topology.Name is deliberately
+// excluded: it labels output rows but cannot change a single simulated
+// bit.
 //
 // The key is versioned (keyVersion). Any change to engine semantics that
 // keeps the Scenario type but alters results for the same field values
@@ -78,18 +78,13 @@ func TopologyFingerprint(t sim.Topology) string {
 }
 
 // CacheKey returns the scenario's content-addressed key: a hex SHA-256 of
-// the canonical encoding described above. The second return is false when
-// the scenario is not hashable — an explicit Traffic value is an opaque
-// generator whose behavior cannot be canonicalized — in which case the
-// point must always be computed.
-func (s Scenario) CacheKey() (string, bool) {
-	if s.Traffic != nil {
-		return "", false
-	}
+// the canonical encoding described above. Every scenario has one, because
+// its traffic is always named by a workload.Spec.
+func (s Scenario) CacheKey() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\ntopo %s\n", keyVersion, TopologyFingerprint(s.Topology.Topo))
 	writeKeyFields(h, s)
-	return hex.EncodeToString(h.Sum(nil)), true
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // writeKeyFields streams the canonical parameter encoding into h. Fields

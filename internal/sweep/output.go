@@ -24,7 +24,7 @@ func WriteResultsCSV(w io.Writer, results []Result) error {
 		s, m := r.Scenario, r.Metrics
 		row := []string{
 			s.Topology.Name,
-			s.TrafficName,
+			s.Workload.Label(),
 			s.Workload.Label(),
 			fmt.Sprintf("%g", s.Rate),
 			s.Mode.String(),
@@ -73,7 +73,7 @@ func WriteCurveCSV(w io.Writer, points []CurvePoint) error {
 	for _, p := range points {
 		row := []string{
 			p.Topology,
-			p.TrafficName,
+			p.Workload.Label(),
 			p.Workload.Label(),
 			fmt.Sprintf("%g", p.Rate),
 			p.Mode.String(),
@@ -137,7 +137,7 @@ func NewRecord(r Result) Record {
 	s, m := r.Scenario, r.Metrics
 	return Record{
 		Topology:      s.Topology.Name,
-		Traffic:       s.TrafficName,
+		Traffic:       s.Workload.Label(),
 		Workload:      s.Workload.Label(),
 		Rate:          s.Rate,
 		Mode:          s.Mode.String(),
@@ -200,7 +200,7 @@ func WriteCurveJSON(w io.Writer, points []CurvePoint) error {
 	for i, p := range points {
 		out[i] = pointJSON{
 			Topology:      p.Topology,
-			Traffic:       p.TrafficName,
+			Traffic:       p.Workload.Label(),
 			Workload:      p.Workload.Label(),
 			Rate:          p.Rate,
 			Mode:          p.Mode.String(),

@@ -47,10 +47,7 @@ func TestCacheKeyIdentifiesTheComputation(t *testing.T) {
 	points := serviceGrid().Points()
 	seen := map[string]int{}
 	for i, p := range points {
-		key, ok := p.CacheKey()
-		if !ok {
-			t.Fatalf("point %d (%s) not hashable", i, p.Label())
-		}
+		key := p.CacheKey()
 		if j, dup := seen[key]; dup {
 			t.Fatalf("points %d and %d share key %s:\n%s\n%s", j, i, key, points[j].Label(), p.Label())
 		}
@@ -58,28 +55,25 @@ func TestCacheKeyIdentifiesTheComputation(t *testing.T) {
 	}
 
 	p := points[0]
-	key, _ := p.CacheKey()
+	key := p.CacheKey()
 
-	// Display-only fields must not move the key: renaming the topology or
-	// the traffic label changes no simulated bit.
+	// The display-only topology name must not move the key: renaming the
+	// topology changes no simulated bit.
 	renamed := p
 	renamed.Topology.Name = "production-fabric-7"
-	renamed.TrafficName = "légende"
-	if k2, _ := renamed.CacheKey(); k2 != key {
+	if renamed.CacheKey() != key {
 		t.Errorf("display-name change moved the key")
 	}
 
 	// Parameter spellings the engine cannot distinguish hash identically.
 	w0, w1 := p, p
 	w0.Wavelengths, w1.Wavelengths = 0, 1
-	k0, _ := w0.CacheKey()
-	k1, _ := w1.CacheKey()
-	if k0 != k1 {
+	if w0.CacheKey() != w1.CacheKey() {
 		t.Errorf("wavelengths 0 and 1 are the same engine but hash differently")
 	}
 	junkFault := p
 	junkFault.Fault = faults.Spec{Kind: faults.KindCoupler, Count: 0, Slot: 999}
-	if kf, _ := junkFault.CacheKey(); kf != key {
+	if junkFault.CacheKey() != key {
 		t.Errorf("count-0 fault spec is fault-free but hashed differently")
 	}
 
@@ -99,16 +93,9 @@ func TestCacheKeyIdentifiesTheComputation(t *testing.T) {
 	} {
 		q := p
 		mutate(&q)
-		if kq, _ := q.CacheKey(); kq == key {
+		if q.CacheKey() == key {
 			t.Errorf("mutating %s did not move the key", name)
 		}
-	}
-
-	// An explicit Traffic generator is opaque: never hashable.
-	opaque := p
-	opaque.Traffic = sim.UniformTraffic{Rate: 0.2}
-	if _, ok := opaque.CacheKey(); ok {
-		t.Errorf("scenario with an explicit Traffic value claims to be hashable")
 	}
 }
 
@@ -186,30 +173,12 @@ func TestMergeShardResultsRejectsBadInput(t *testing.T) {
 	if _, err := sweep.ShardPoints(points, 3, 3); err == nil {
 		t.Errorf("out-of-range shard index not rejected")
 	}
-
-	// Same-index duplicates that disagree on the key: for hashable points
-	// the per-point key check arbitrates, but an unhashable point (opaque
-	// Traffic) has no reference key — the duplicate rows must agree with
-	// each other, even when their metrics happen to match.
-	opaque := append([]sweep.Scenario{}, points...)
-	opaque[1].Traffic = sim.UniformTraffic{Rate: opaque[1].Rate}
-	oShard, err := sweep.ShardPoints(opaque, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oRows := oShard.ShardResults(sweep.Runner{}.Run(opaque))
-	if oRows[1].Key != "" {
-		t.Fatalf("opaque-traffic point unexpectedly hashable")
-	}
-	oRows[1].Key = "aaaa1111"
-	twoKeys := append(append([]sweep.ShardResult{}, oRows...), oRows[1])
-	twoKeys[len(twoKeys)-1].Key = "bbbb2222"
-	if _, err := sweep.MergeShardResults(opaque, twoKeys); err == nil {
-		t.Errorf("same-index duplicates with different keys not rejected")
-	}
-	sameKey := append(append([]sweep.ShardResult{}, oRows...), oRows[1])
-	if _, err := sweep.MergeShardResults(opaque, sameKey); err != nil {
-		t.Errorf("same-index duplicates with matching keys rejected: %v", err)
+	// A same-index duplicate claiming another key fails the same
+	// per-point key check: every point has a key to compare against.
+	dupKey := append(append([]sweep.ShardResult{}, rows...), rows[1])
+	dupKey[len(dupKey)-1].Key = "bbbb2222"
+	if _, err := sweep.MergeShardResults(points, dupKey); err == nil {
+		t.Errorf("same-index duplicate with a different key not rejected")
 	}
 }
 

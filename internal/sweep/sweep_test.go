@@ -79,8 +79,8 @@ func TestGridDefaults(t *testing.T) {
 	if p.Rate != 0.2 || p.Seed != 1 || p.Mode != StoreAndForward || p.Wavelengths != 1 || p.Slots != 1000 {
 		t.Fatalf("unexpected defaults: %+v", p)
 	}
-	if p.TrafficName != "uniform" {
-		t.Fatalf("default traffic name = %q", p.TrafficName)
+	if got := p.Workload.Label(); got != "uniform" {
+		t.Fatalf("default traffic name = %q", got)
 	}
 }
 

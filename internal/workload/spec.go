@@ -11,8 +11,8 @@ import (
 type Kind int
 
 const (
-	// KindUniform is the legacy uniform random load (the zero value, so a
-	// zero Spec reproduces pre-workload sweeps bit for bit).
+	// KindUniform is the uniform random load, sim.UniformTraffic (the zero
+	// value, so a zero Spec reproduces pre-workload sweeps bit for bit).
 	KindUniform Kind = iota
 	// KindTranspose is the fixed OTIS transpose permutation pattern.
 	KindTranspose
@@ -156,7 +156,7 @@ func (s Spec) New(rate float64, n, groupSize int) sim.Traffic {
 			RateSigma: s.RateSigma, FloorFactor: s.OffFactor,
 		}
 	default:
-		return Uniform{Rate: rate}
+		return sim.UniformTraffic{Rate: rate}
 	}
 }
 

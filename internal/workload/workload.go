@@ -11,8 +11,9 @@
 // scratch slice, so the whole sim.Run inner loop stays allocation-free in
 // steady state under any workload kind (see TestWorkloadRunLoopAllocFree
 // and BenchmarkStepAllocFree). Given the same seed, a generator produces
-// the same injection stream bit for bit; Uniform is bit-for-bit identical
-// to the legacy sim.UniformTraffic it supersedes.
+// the same injection stream bit for bit. The uniform kind materializes
+// sim.UniformTraffic itself (Spec.New), so uniform scenarios reproduce
+// plain sim.Run calls bit for bit.
 package workload
 
 import (
@@ -22,24 +23,6 @@ import (
 	"otisnet/internal/otis"
 	"otisnet/internal/sim"
 )
-
-// Uniform injects, per node per slot, a message with probability Rate to a
-// destination chosen uniformly among the other nodes. It delegates to
-// sim.UniformTraffic so the RNG consumption sequence — and therefore every
-// seeded run — is bit-for-bit identical to the legacy model
-// (TestUniformMatchesLegacyTrafficStream guards this).
-type Uniform struct {
-	Rate float64
-}
-
-// Generate implements sim.Traffic.
-func (t Uniform) Generate(buf []sim.Injection, slot, n int, rng *rand.Rand) []sim.Injection {
-	return sim.UniformTraffic{Rate: t.Rate}.Generate(buf, slot, n, rng)
-}
-
-// UniformRate implements sim.UniformRater: Generate is exactly the uniform
-// model, so Engine.Run may fuse it into its injection loop.
-func (t Uniform) UniformRate() float64 { return t.Rate }
 
 // Transpose injects, with probability Rate per node per slot, a message to
 // the node's fixed OTIS transpose partner: node u sends to Perm[u], the

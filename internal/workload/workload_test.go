@@ -50,28 +50,14 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	}
 }
 
-func TestUniformMatchesLegacyTrafficStream(t *testing.T) {
-	const n, slots = 72, 500
-	legacy := stream(sim.UniformTraffic{Rate: 0.25}, slots, n, 11)
-	ours := stream(Uniform{Rate: 0.25}, slots, n, 11)
-	if !reflect.DeepEqual(legacy, ours) {
-		t.Fatal("workload.Uniform stream differs from sim.UniformTraffic")
-	}
-}
-
 func TestUniformRunMatchesLegacyRunBitForBit(t *testing.T) {
 	topo := sim.NewStackTopology(stackkautz.New(6, 3, 2).StackGraph())
 	cfg := sim.Config{Seed: 3}
 	legacy := sim.Run(topo, sim.UniformTraffic{Rate: 0.2}, 500, 500, cfg)
-	ours := sim.Run(topo, Uniform{Rate: 0.2}, 500, 500, cfg)
-	if legacy != ours {
-		t.Fatalf("uniform workload run diverged from legacy traffic run:\nlegacy: %v\nours:   %v", legacy, ours)
-	}
-	// And via the Spec path, as sweeps materialize it.
-	spec := Spec{}
-	viaSpec := sim.Run(topo, spec.New(0.2, topo.Nodes(), 6), 500, 500, cfg)
+	// The zero spec is the uniform workload, as sweeps materialize it.
+	viaSpec := sim.Run(topo, Spec{}.New(0.2, topo.Nodes(), 6), 500, 500, cfg)
 	if legacy != viaSpec {
-		t.Fatalf("zero-spec workload run diverged from legacy traffic run")
+		t.Fatalf("zero-spec workload run diverged from the uniform traffic run:\nlegacy: %v\nspec:   %v", legacy, viaSpec)
 	}
 }
 
