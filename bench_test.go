@@ -396,6 +396,27 @@ func BenchmarkStepAllocFree(b *testing.B) {
 	})
 }
 
+// BenchmarkUniformInjectionRun is the cli-light single run in process:
+// SK(8,3,4) (N = 864) under uniform load 0.02 for 20000 slots plus drain,
+// on one reused Engine. At this load injection sampling, not stepping,
+// bounds the run, so it tracks the per-slot geometric skip of
+// sim.AppendUniform. delivered/node-slot should sit near the rate.
+func BenchmarkUniformInjectionRun(b *testing.B) {
+	const rate, slots, drain = 0.02, 20000, 2000
+	topo := sim.NewStackTopology(stackkautz.New(8, 3, 4).StackGraph())
+	e := sim.NewEngine(topo, sim.Config{Seed: 1})
+	var m sim.Metrics
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m = e.Run(sim.UniformTraffic{Rate: rate}, slots, drain, sim.Config{Seed: int64(i + 1)})
+		if m.Delivered == 0 {
+			b.Fatal("nothing delivered")
+		}
+	}
+	b.ReportMetric(float64(m.Delivered)/float64(topo.Nodes()*slots), "delivered/node-slot")
+}
+
 // BenchmarkT6DynamicFaults is the live version of BenchmarkT6FaultRouting:
 // SK(6,3,2) with d-1 = 2 whole groups failing mid-run inside the engine,
 // which purges stranded messages and reroutes the survivors in ≤ k+2 hops

@@ -6,10 +6,11 @@ package legacysim_test
 // golden scenario pinning its metrics to hard-coded values (the oracle
 // must never drift — if it moves, every "bit-for-bit" claim silently moves
 // with it), and inclusion in the -race CI step (these tests are what -race
-// instruments). The golden values were produced by this engine at the
-// commit that froze it and are, by construction, also the compiled
-// engine's values; TestGoldenScenariosMatchCompiledEngine closes that
-// triangle.
+// instruments). The golden values were produced by this engine under
+// the geometric-skip uniform sampler (sim.AppendUniform; the engine code
+// itself is unchanged since it was frozen) and are, by construction, also
+// the compiled engine's values; TestGoldenScenariosMatchCompiledEngine
+// closes that triangle.
 
 import (
 	"testing"
@@ -33,20 +34,20 @@ func goldenCases() []goldenCase {
 		{
 			name: "store-and-forward",
 			cfg:  sim.Config{Seed: 42},
-			want: sim.Metrics{Slots: 333, Injected: 1699, Delivered: 1699,
-				TotalLatency: 24121, TotalHops: 2604, PeakQueue: 36},
+			want: sim.Metrics{Slots: 328, Injected: 1622, Delivered: 1622,
+				TotalLatency: 16768, TotalHops: 2417, PeakQueue: 26},
 		},
 		{
 			name: "deflection",
 			cfg:  sim.Config{Seed: 43, Deflection: true},
-			want: sim.Metrics{Slots: 392, Injected: 1637, Delivered: 1637, Deflections: 529,
-				TotalLatency: 60808, TotalHops: 3292, PeakQueue: 74},
+			want: sim.Metrics{Slots: 379, Injected: 1631, Delivered: 1631, Deflections: 524,
+				TotalLatency: 54162, TotalHops: 3230, PeakQueue: 66},
 		},
 		{
 			name: "wdm-bounded",
 			cfg:  sim.Config{Seed: 44, Wavelengths: 2, MaxQueue: 4},
-			want: sim.Metrics{Slots: 301, Injected: 1657, Delivered: 1607, Dropped: 50,
-				TotalLatency: 3654, TotalHops: 2414, PeakQueue: 4},
+			want: sim.Metrics{Slots: 303, Injected: 1676, Delivered: 1633, Dropped: 43,
+				TotalLatency: 3653, TotalHops: 2431, PeakQueue: 4},
 		},
 	}
 }

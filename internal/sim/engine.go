@@ -893,16 +893,12 @@ func (e *replica) applyTopologyChange(ch TopologyChange) {
 func (e *replica) run(traffic Traffic, slots, drain int, cfg Config) Metrics {
 	e.reset(cfg)
 	e.rngVirgin = false // the generation loop draws from the RNG
-	if ur, ok := traffic.(UniformRater); ok {
-		e.runUniform(ur.UniformRate(), slots)
-	} else {
-		for s := 0; s < slots; s++ {
-			e.injBuf = traffic.Generate(e.injBuf[:0], s, e.n, e.rng)
-			for _, inj := range e.injBuf {
-				e.inject(inj.Src, inj.Dst)
-			}
-			e.step()
+	for s := 0; s < slots; s++ {
+		e.injBuf = traffic.Generate(e.injBuf[:0], s, e.n, e.rng)
+		for _, inj := range e.injBuf {
+			e.inject(inj.Src, inj.Dst)
 		}
+		e.step()
 	}
 	for s := 0; s < drain && e.backlog > 0; s++ {
 		e.step()
@@ -910,28 +906,6 @@ func (e *replica) run(traffic Traffic, slots, drain int, cfg Config) Metrics {
 	m := e.metricsSnapshot()
 	e.flushObs()
 	return m
-}
-
-// runUniform is run's fused generation loop for uniform Bernoulli traffic
-// (UniformRater): the RNG consumption sequence is exactly
-// UniformTraffic.Generate followed by Inject calls — so runs are
-// bit-for-bit identical — without materializing the Injection buffer.
-func (e *replica) runUniform(rate float64, slots int) {
-	n, rng := e.n, e.rng
-	for s := 0; s < slots; s++ {
-		for u := 0; u < n; u++ {
-			if rng.Float64() < rate {
-				dst := rng.Intn(n - 1)
-				if dst >= u {
-					dst++ // skip self, as the uniform model does
-				}
-				e.metrics.Injected++
-				e.enqueue(u, qmsg{id: int32(e.nextID), src: int32(u), dst: int32(dst), born: int32(e.slot)})
-				e.nextID++
-			}
-		}
-		e.step()
-	}
 }
 
 // finished reports whether a scenario of `slots` generation slots and

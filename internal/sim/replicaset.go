@@ -76,8 +76,6 @@ type ReplicaSpec struct {
 type streamGroup struct {
 	members []int32
 	traffic Traffic
-	uniform bool    // Traffic is a UniformRater: use the fused loop
-	rate    float64 // the uniform rate when uniform
 	slots   int
 	buf     []Injection
 }
@@ -216,11 +214,6 @@ func (rs *ReplicaSet) buildGroups() {
 			g.members = g.members[:0]
 			g.traffic = sp.Traffic
 			g.slots = sp.Slots
-			if ur, ok := sp.Traffic.(UniformRater); ok {
-				g.uniform, g.rate = true, ur.UniformRate()
-			} else {
-				g.uniform, g.rate = false, 0
-			}
 			if sp.StreamGroup >= 0 {
 				byID[sp.StreamGroup] = gi
 			}
@@ -310,43 +303,16 @@ func (rs *ReplicaSet) RunAll() {
 			}
 			gr := &rs.rngs[gi]
 			gr.virgin = false
-			if g.uniform {
-				rs.generateUniform(g, gr.rng)
-			} else {
-				g.buf = g.traffic.Generate(g.buf[:0], rs.slot, rs.base.n, gr.rng)
-				for _, ri := range g.members {
-					rp := &rs.reps[ri]
-					for _, inj := range g.buf {
-						rp.inject(inj.Src, inj.Dst)
-					}
+			g.buf = g.traffic.Generate(g.buf[:0], rs.slot, rs.base.n, gr.rng)
+			// Fan the slot out one member at a time, so each replica's
+			// queue slab is walked in one contiguous pass.
+			for _, ri := range g.members {
+				rp := &rs.reps[ri]
+				for _, inj := range g.buf {
+					rp.inject(inj.Src, inj.Dst)
 				}
 			}
 		}
 		rs.StepAll()
-	}
-}
-
-// generateUniform is the fused uniform-Bernoulli stream: one draw per
-// node, fanned to every member — the RNG consumption (and so the stream)
-// is bit-for-bit Engine.runUniform's. The slot's injections are buffered
-// and fanned one member at a time, so each replica's queue slab is walked
-// in one contiguous pass instead of interleaving members per injection.
-func (rs *ReplicaSet) generateUniform(g *streamGroup, rng *rand.Rand) {
-	n := rs.base.n
-	g.buf = g.buf[:0]
-	for u := 0; u < n; u++ {
-		if rng.Float64() < g.rate {
-			dst := rng.Intn(n - 1)
-			if dst >= u {
-				dst++ // skip self, as the uniform model does
-			}
-			g.buf = append(g.buf, Injection{Src: u, Dst: dst})
-		}
-	}
-	for _, ri := range g.members {
-		rp := &rs.reps[ri]
-		for _, inj := range g.buf {
-			rp.inject(inj.Src, inj.Dst)
-		}
 	}
 }

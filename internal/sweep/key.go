@@ -30,7 +30,7 @@ import (
 // keyVersion tags the canonical encoding. Bump it whenever the engine's
 // observable behavior for a fixed Scenario changes (new RNG consumption
 // order, changed arbitration tie-breaks, metric redefinitions, ...).
-const keyVersion = "otisnet-scenario-v1"
+const keyVersion = "otisnet-scenario-v2"
 
 // fingerprints memoizes TopologyFingerprint per live topology value (all
 // sim.Topology implementations are pointers, so interface identity is

@@ -16,8 +16,9 @@ package workload
 //     distribution, exp(RateSigma·|N(0,1)|), the heavy-tailed empirical
 //     rate multiplier.
 //
-// The resulting per-slot rate is clamped to [0,1] and drives the same
-// per-node Bernoulli sampler as the uniform model, so the generator
+// The resulting per-slot rate drives the same per-node Bernoulli sampler
+// as the uniform model (sim.AppendUniform, which treats rates >= 1 as 1
+// and rates <= 0 as silence), so the generator
 // keeps the append-into-caller-scratch 0 B/op contract and is fully
 // deterministic per seed.
 
@@ -90,22 +91,7 @@ func (t *MultiPeriod) Generate(buf []sim.Injection, slot, n int, rng *rand.Rand)
 	} else if t.flickerOn {
 		rate *= t.peak
 	}
-	if rate > 1 {
-		rate = 1
-	}
-	if rate <= 0 {
-		return buf
-	}
-	for u := 0; u < n; u++ {
-		if rng.Float64() < rate {
-			dst := rng.Intn(n - 1)
-			if dst >= u {
-				dst++
-			}
-			buf = append(buf, sim.Injection{Src: u, Dst: dst})
-		}
-	}
-	return buf
+	return sim.AppendUniform(buf, n, rate, rng)
 }
 
 // drawPeak samples the episode's heavy-tailed rate multiplier.

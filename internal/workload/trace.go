@@ -442,21 +442,7 @@ func (t *Trace) Generate(buf []sim.Injection, slot, n int, rng *rand.Rand) []sim
 		if t.Scale > 0 {
 			r *= t.Scale
 		}
-		if r > 1 {
-			r = 1
-		}
-		if r > 0 {
-			for u := 0; u < n; u++ {
-				if rng.Float64() < r {
-					dst := rng.Intn(n - 1)
-					if dst >= u {
-						dst++
-					}
-					buf = append(buf, sim.Injection{Src: u, Dst: dst})
-				}
-			}
-		}
-		return buf
+		return sim.AppendUniform(buf, n, r, rng)
 	}
 	for t.havePending && t.pending.slot <= slot {
 		if t.pending.slot == slot {

@@ -11,9 +11,13 @@
 // scratch slice, so the whole sim.Run inner loop stays allocation-free in
 // steady state under any workload kind (see TestWorkloadRunLoopAllocFree
 // and BenchmarkStepAllocFree). Given the same seed, a generator produces
-// the same injection stream bit for bit. The uniform kind materializes
-// sim.UniformTraffic itself (Spec.New), so uniform scenarios reproduce
-// plain sim.Run calls bit for bit.
+// the same injection stream bit for bit. Every Bernoulli generator here
+// picks its senders with the shared geometric-skip sampler (sim.Skip,
+// sim.AppendUniform): one draw per injection plus one per slot instead
+// of one per node, with the same iid per-node law and one rate rule
+// (<= 0 or NaN injects nothing, >= 1 injects everywhere). The uniform
+// kind materializes sim.UniformTraffic itself (Spec.New), so uniform
+// scenarios reproduce plain sim.Run calls bit for bit.
 package workload
 
 import (
@@ -55,8 +59,9 @@ func (t Transpose) Generate(buf []sim.Injection, _, n int, rng *rand.Rand) []sim
 	if len(t.Perm) != n {
 		panic(fmt.Sprintf("workload: transpose over %d nodes used on %d-node network", len(t.Perm), n))
 	}
-	for u := 0; u < n; u++ {
-		if t.Perm[u] != u && rng.Float64() < t.Rate {
+	sk := sim.NewSkip(t.Rate)
+	for u := sk.Next(0, n, rng); u < n; u = sk.Next(u+1, n, rng) {
+		if t.Perm[u] != u {
 			buf = append(buf, sim.Injection{Src: u, Dst: t.Perm[u]})
 		}
 	}
@@ -97,10 +102,8 @@ func (t Hotspot) Generate(buf []sim.Injection, _, n int, rng *rand.Rand) []sim.I
 	}
 	groups := n / gs
 	hotStart := ((t.Group % groups) + groups) % groups * gs
-	for u := 0; u < n; u++ {
-		if rng.Float64() >= t.Rate {
-			continue
-		}
+	sk := sim.NewSkip(t.Rate)
+	for u := sk.Next(0, n, rng); u < n; u = sk.Next(u+1, n, rng) {
 		dst := -1
 		if u < hotStart || u >= hotStart+gs {
 			if rng.Float64() < t.Fraction {
@@ -108,10 +111,7 @@ func (t Hotspot) Generate(buf []sim.Injection, _, n int, rng *rand.Rand) []sim.I
 			}
 		}
 		if dst < 0 || dst == u {
-			dst = rng.Intn(n - 1)
-			if dst >= u {
-				dst++
-			}
+			dst = sim.UniformDst(u, n, rng)
 		}
 		buf = append(buf, sim.Injection{Src: u, Dst: dst})
 	}
@@ -121,8 +121,9 @@ func (t Hotspot) Generate(buf []sim.Injection, _, n int, rng *rand.Rand) []sim.I
 // Bursty modulates uniform load with a two-state on/off Markov process:
 // state durations are geometric with means MeanOn and MeanOff slots, the
 // whole network burst-synchronously injects at rate OnRate while on and
-// OffRate while off. One RNG draw per slot advances the state, so the
-// stream is a deterministic function of the seed. Bursty is stateful — use
+// OffRate while off. At most one RNG draw per slot advances the state,
+// before the slot's geometric-skip draws, so the stream is a deterministic
+// function of the seed. Bursty is stateful — use
 // one value per engine (pointer receiver).
 type Bursty struct {
 	OnRate, OffRate float64
@@ -149,14 +150,5 @@ func (t *Bursty) Generate(buf []sim.Injection, _, n int, rng *rand.Rand) []sim.I
 	if t.off {
 		rate = t.OffRate
 	}
-	for u := 0; u < n; u++ {
-		if rng.Float64() < rate {
-			dst := rng.Intn(n - 1)
-			if dst >= u {
-				dst++
-			}
-			buf = append(buf, sim.Injection{Src: u, Dst: dst})
-		}
-	}
-	return buf
+	return sim.AppendUniform(buf, n, rate, rng)
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -124,6 +125,81 @@ func TestHotspotSkewTargetsGroup(t *testing.T) {
 	}
 	if !outside {
 		t.Fatal("fraction-0 hotspot never sent outside the hot group")
+	}
+}
+
+// TestHotspotDestinationShareMatchesFraction checks the skew survives the
+// geometric-skip sender sampling: a sender outside the hot group hits it
+// with probability Fraction + (1-Fraction)·gs/(n-1) (the uniform fallback
+// lands there too), a sender inside with (gs-1)/(n-1). Fixed seed, fixed
+// |z| < 4 bound on each binomial share.
+func TestHotspotDestinationShareMatchesFraction(t *testing.T) {
+	const n, gs, hot, frac, maxZ = 64, 8, 2, 0.3, 4.0
+	hotLo, hotHi := hot*gs, hot*gs+gs
+	inHot := func(u int) bool { return u >= hotLo && u < hotHi }
+	var sent, hits [2]float64 // index 1: sender inside the hot group
+	for _, injs := range stream(Hotspot{Rate: 0.3, Group: hot, GroupSize: gs, Fraction: frac}, 4000, n, 13) {
+		for _, inj := range injs {
+			i := 0
+			if inHot(inj.Src) {
+				i = 1
+			}
+			sent[i]++
+			if inHot(inj.Dst) {
+				hits[i]++
+			}
+		}
+	}
+	want := [2]float64{frac + (1-frac)*gs/(n-1), float64(gs-1) / (n - 1)}
+	for i, q := range want {
+		z := (hits[i] - sent[i]*q) / math.Sqrt(sent[i]*q*(1-q))
+		if math.Abs(z) >= maxZ {
+			t.Errorf("senders inside hot group=%v: hot share %.4f of %.0f, want %.4f (z = %.2f)", i == 1, hits[i]/sent[i], sent[i], q, z)
+		}
+	}
+}
+
+// TestGeneratorsShareOneRateRule pins the rate rule every Bernoulli
+// generator inherits from sim.Skip: a per-slot rate <= 0 or NaN injects
+// nothing, a rate >= 1 injects at every sending node. Trace rates come
+// from a rate-0 record, or a rate-1 record scaled by the rate.
+func TestGeneratorsShareOneRateRule(t *testing.T) {
+	const slots = 20
+	full := writeTrace(t, "0,1\n")
+	silent := writeTrace(t, "0,0\n")
+	for _, n := range []int{2, 8} {
+		tr := NewTranspose(1, n, 2)
+		senders := 0
+		for u, p := range tr.Perm {
+			if p != u {
+				senders++
+			}
+		}
+		for _, rate := range []float64{math.Inf(-1), -0.5, 0, math.NaN(), 1, 1.5, math.Inf(1)} {
+			want, trace := 0, &Trace{Path: silent, Form: TraceRates}
+			if rate >= 1 {
+				want, trace = n, &Trace{Path: full, Form: TraceRates, Scale: rate}
+			}
+			gens := []struct {
+				name string
+				tr   sim.Traffic
+				want int
+			}{
+				{"uniform", sim.UniformTraffic{Rate: rate}, want},
+				{"bursty", &Bursty{OnRate: rate, OffRate: rate, MeanOn: 5, MeanOff: 5}, want},
+				{"multiperiod", &MultiPeriod{BaseRate: rate, EpisodeOn: 5, EpisodeOff: 5, MeanOn: 3, MeanOff: 3, FloorFactor: 1}, want},
+				{"hotspot", Hotspot{Rate: rate, GroupSize: 2, Fraction: 0.5}, want},
+				{"transpose", Transpose{Rate: rate, Perm: tr.Perm}, want / n * senders},
+				{"trace", trace, want},
+			}
+			for _, g := range gens {
+				for s, injs := range stream(g.tr, slots, n, 3) {
+					if len(injs) != g.want {
+						t.Fatalf("%s n=%d rate %g slot %d: %d injections, want %d", g.name, n, rate, s, len(injs), g.want)
+					}
+				}
+			}
+		}
 	}
 }
 
